@@ -138,11 +138,18 @@ EmcapStreamDecoder::feed(const uint8_t *data, std::size_t n,
                         sizeof(chunkHeader_));
             if (chunkHeader_.sampleCount == 0)
                 return poison(error, "chunk declares zero samples");
-            // Even 2-bit packing cannot shrink below count/4 bytes,
-            // and nothing legitimate inflates past 4 bytes/sample +
-            // slack — reject absurd headers before allocating.
+            // No payload encodes more than maxChunkSamples() samples
+            // (even width-0 packing needs a byte per 128), and nothing
+            // legitimate inflates past 4 bytes/sample + slack: reject
+            // absurd headers before buffering the payload or
+            // allocating its samples.
             const uint64_t count = chunkHeader_.sampleCount;
-            if (chunkHeader_.payloadBytes > count * 8 + 64 ||
+            if (count > store::maxChunkSamples(
+                            chunkHeader_.payloadBytes,
+                            static_cast<store::ChunkEncoding>(
+                                chunkHeader_.encoding),
+                            info_.codec) ||
+                chunkHeader_.payloadBytes > count * 8 + 64 ||
                 count > info_.totalSamples)
                 return poison(error,
                               "chunk header implausible (corrupt "

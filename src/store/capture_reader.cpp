@@ -25,6 +25,9 @@ countCrcFailure()
     failures.inc();
 }
 
+const char *const kTooManySamples =
+    "declares more samples than its payload can encode";
+
 } // namespace
 
 bool
@@ -137,15 +140,27 @@ CaptureReader::open(const std::string &path, std::string *error)
     if (tail.totalSamples != header.totalSamples)
         return bail("header/footer sample counts disagree");
 
-    // The chunk stream must tile [header, footer) exactly.
+    // The chunk stream must tile [header, footer) exactly, and no
+    // entry may claim more samples than its bytes hold under either
+    // encoding (the index does not say which): the counts size every
+    // decode buffer downstream.
+    const auto codec = static_cast<SampleCodec>(header.codec);
     uint64_t offset = sizeof(FileHeader);
     uint64_t samples = 0;
-    for (const auto &entry : index_) {
+    for (std::size_t i = 0; i < index_.size(); ++i) {
+        const ChunkIndexEntry &entry = index_[i];
         if (entry.fileOffset != offset ||
             entry.firstSample != samples ||
             entry.sampleCount == 0 ||
             entry.storedBytes < sizeof(ChunkHeader))
             return bail("footer index inconsistent");
+        const uint64_t payload = entry.storedBytes - sizeof(ChunkHeader);
+        if (entry.sampleCount >
+            std::max(maxChunkSamples(payload, ChunkEncoding::Raw, codec),
+                     maxChunkSamples(payload, ChunkEncoding::DeltaPacked,
+                                     codec)))
+            return bail("footer index: chunk " + std::to_string(i) + " " +
+                        kTooManySamples);
         offset += entry.storedBytes;
         samples += entry.sampleCount;
     }
@@ -226,6 +241,13 @@ CaptureReader::openRecovered(const std::string &path,
         if (chunk.payloadBytes >
             fileSize_ - offset - sizeof(ChunkHeader)) {
             stop_reason = "truncated mid chunk payload";
+            break;
+        }
+        if (chunk.sampleCount >
+            maxChunkSamples(chunk.payloadBytes,
+                            static_cast<ChunkEncoding>(chunk.encoding),
+                            static_cast<SampleCodec>(header.codec))) {
+            stop_reason = std::string("chunk header ") + kTooManySamples;
             break;
         }
         payload.resize(chunk.payloadBytes);
@@ -335,6 +357,13 @@ CaptureReader::decodeChunk(std::size_t i, std::vector<dsp::Sample> &out,
         return fail(error,
                     "chunk " + std::to_string(i) + " CRC mismatch");
     }
+
+    if (header.sampleCount >
+        maxChunkSamples(payload_bytes,
+                        static_cast<ChunkEncoding>(header.encoding),
+                        info_.codec))
+        return fail(error, "chunk " + std::to_string(i) + " " +
+                               kTooManySamples);
 
     out.resize(entry.sampleCount);
     if (!store::decodeChunk(payload, payload_bytes,

@@ -26,12 +26,6 @@ zigzag(int64_t d)
            static_cast<uint64_t>(d >> 63);
 }
 
-int64_t
-unzigzag(uint64_t z)
-{
-    return static_cast<int64_t>(z >> 1) ^ -static_cast<int64_t>(z & 1);
-}
-
 /** Integer a chunk sample maps to before delta coding. */
 int64_t
 sampleToInt(dsp::Sample x, SampleCodec codec, float scale, unsigned bits)
@@ -42,27 +36,6 @@ sampleToInt(dsp::Sample x, SampleCodec codec, float scale, unsigned bits)
         return static_cast<int64_t>(u);
     }
     return quantize(x, scale, bits);
-}
-
-dsp::Sample
-intToSample(int64_t v, SampleCodec codec, float scale)
-{
-    if (codec == SampleCodec::F32) {
-        const auto u = static_cast<uint32_t>(v);
-        float x;
-        std::memcpy(&x, &u, sizeof(x));
-        return x;
-    }
-    return static_cast<float>(v) * scale;
-}
-
-/** Is @p v a representable integer for @p codec?  (Decode guard.) */
-bool
-intInRange(int64_t v, SampleCodec codec)
-{
-    if (codec == SampleCodec::F32)
-        return v >= 0 && v <= 0xFFFFFFFFll;
-    return v >= -32768 && v <= 32767;
 }
 
 struct BitWriter
@@ -96,35 +69,120 @@ struct BitWriter
     }
 };
 
-struct BitReader
+// The unpacker reads the little-endian bit stream with plain 8-byte
+// loads, which is only the format's byte order on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "EMCAP decode assumes a little-endian host");
+
+/** Bytes one miniblock can occupy: 128 deltas at the widest width. */
+constexpr std::size_t kMaxBlockBytes = kMiniblock * kMaxWidth / 8;
+
+uint64_t
+load64(const uint8_t *p)
 {
-    const uint8_t *p;
-    const uint8_t *end;
-    uint64_t acc = 0;
-    unsigned bits = 0;
+    uint64_t v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+}
 
-    bool
-    get(unsigned width, uint64_t &v)
-    {
-        while (bits < width) {
-            if (p == end)
-                return false;
-            acc |= static_cast<uint64_t>(*p++) << bits;
-            bits += 8;
-        }
-        v = width == 0 ? 0 : acc & (~uint64_t{0} >> (64 - width));
-        acc >>= width;
-        bits -= width;
-        return true;
-    }
+/**
+ * The two sample codecs' integer domains.  Integers travel as the
+ * two's-complement bit pattern in a uint64_t so that a corrupt delta
+ * can never overflow a signed add: within one miniblock a value drifts
+ * at most 128 deltas of < 2^39 from an in-range start.  outOfRange()
+ * is nonzero exactly when the value is not one the codec can hold:
+ * an f32 bit pattern in [0, 2^32) or an i16 in [-32768, 32767].
+ */
+struct F32Ints
+{
+    static uint64_t outOfRange(uint64_t v) { return v >> 32; }
 
-    void
-    byteAlign()
+    static dsp::Sample
+    toSample(uint64_t v, float)
     {
-        acc = 0;
-        bits = 0;
+        return std::bit_cast<float>(static_cast<uint32_t>(v));
     }
 };
+
+struct I16Ints
+{
+    static uint64_t outOfRange(uint64_t v) { return (v + 32768) >> 16; }
+
+    static dsp::Sample
+    toSample(uint64_t v, float scale)
+    {
+        return static_cast<float>(static_cast<int64_t>(v)) * scale;
+    }
+};
+
+/**
+ * Unpack one miniblock of @p n deltas at @p width bits from @p in,
+ * extend the running value @p prev and write the samples.  Every
+ * value's bits lie inside one unaligned 8-byte load (7 + 40 < 64), so
+ * @p in must have 8 readable bytes past each value's first byte; the
+ * caller guarantees that.  Returns nonzero iff some value fell outside
+ * the codec's range (checked once per block, not per sample).
+ */
+template <class Ints>
+uint64_t
+unpackBlock(const uint8_t *in, unsigned width, std::size_t n,
+            uint64_t &prev, float scale, dsp::Sample *out)
+{
+    const uint64_t mask = (uint64_t{1} << width) - 1;
+    uint64_t v = prev;
+    uint64_t bad = 0;
+    std::size_t bit = 0;
+    for (std::size_t i = 0; i < n; ++i, bit += width) {
+        const uint64_t z = (load64(in + (bit >> 3)) >> (bit & 7)) & mask;
+        v += (z >> 1) ^ (0 - (z & 1)); // un-zig-zag, wrapping
+        bad |= Ints::outOfRange(v);
+        out[i] = Ints::toSample(v, scale);
+    }
+    prev = v;
+    return bad;
+}
+
+/** DeltaPacked decode for one codec; @p payloadBytes >= 8. */
+template <class Ints>
+bool
+decodePacked(const uint8_t *payload, std::size_t payloadBytes,
+             float scale, std::size_t count, dsp::Sample *out)
+{
+    uint64_t prev = load64(payload);
+    if (Ints::outOfRange(prev) != 0)
+        return false;
+    out[0] = Ints::toSample(prev, scale);
+
+    const uint8_t *p = payload + 8;
+    const uint8_t *const end = payload + payloadBytes;
+    uint8_t padded[kMaxBlockBytes + 8] = {};
+    for (std::size_t g = 1; g < count; g += kMiniblock) {
+        const std::size_t n = std::min(kMiniblock, count - g);
+        if (p == end)
+            return false;
+        const unsigned width = *p++;
+        if (width > kMaxWidth)
+            return false;
+        const std::size_t bytes = (n * width + 7) / 8;
+        const auto left = static_cast<std::size_t>(end - p);
+        if (bytes > left)
+            return false;
+        // A block too close to the payload end for the 8-byte loads
+        // (in practice only the last) is decoded from a padded copy.
+        const uint8_t *in = p;
+        if (left - bytes < 8) {
+            std::memcpy(padded, p, bytes);
+            std::memset(padded + bytes, 0, 8);
+            in = padded;
+        }
+        if (unpackBlock<Ints>(in, width, n, prev, scale, out + g) != 0)
+            return false;
+        p += bytes;
+    }
+    // The encoder emits exactly this many bytes; anything trailing is
+    // corruption the CRC may have missed only in adversarial settings.
+    return p == end;
+}
 
 } // namespace
 
@@ -257,36 +315,26 @@ decodeChunk(const uint8_t *payload, std::size_t payloadBytes,
 
     if (encoding != ChunkEncoding::DeltaPacked || payloadBytes < 8)
         return false;
+    return codec == SampleCodec::F32
+               ? decodePacked<F32Ints>(payload, payloadBytes, scale, count,
+                                       out)
+               : decodePacked<I16Ints>(payload, payloadBytes, scale, count,
+                                       out);
+}
 
-    uint64_t first;
-    std::memcpy(&first, payload, 8);
-    auto prev = static_cast<int64_t>(first);
-    if (!intInRange(prev, codec))
-        return false;
-    out[0] = intToSample(prev, codec, scale);
-
-    BitReader reader{payload + 8, payload + payloadBytes};
-    for (std::size_t g = 1; g < count; g += kMiniblock) {
-        const std::size_t n = std::min(kMiniblock, count - g);
-        if (reader.p == reader.end)
-            return false;
-        const unsigned width = *reader.p++;
-        if (width > kMaxWidth)
-            return false;
-        for (std::size_t i = g; i < g + n; ++i) {
-            uint64_t z;
-            if (!reader.get(width, z))
-                return false;
-            prev += unzigzag(z);
-            if (!intInRange(prev, codec))
-                return false;
-            out[i] = intToSample(prev, codec, scale);
-        }
-        reader.byteAlign();
-    }
-    // The encoder emits exactly this many bytes; anything trailing is
-    // corruption the CRC may have missed only in adversarial settings.
-    return reader.p == reader.end;
+uint64_t
+maxChunkSamples(uint64_t payloadBytes, ChunkEncoding encoding,
+                SampleCodec codec)
+{
+    if (codec != SampleCodec::F32 && codec != SampleCodec::QuantI16)
+        return 0;
+    if (encoding == ChunkEncoding::Raw)
+        return payloadBytes / (codec == SampleCodec::F32 ? 4 : 2);
+    if (encoding != ChunkEncoding::DeltaPacked || payloadBytes < 8)
+        return 0;
+    // The verbatim first value, then at best one width-0 miniblock of
+    // 128 deltas per remaining byte.
+    return kMiniblock * (payloadBytes - 8) + 1;
 }
 
 } // namespace emprof::store

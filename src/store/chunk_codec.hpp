@@ -15,10 +15,13 @@
  * container never loses to the format it replaces by more than the
  * chunk header.
  *
- * Decoding is defensive: every read is bounds-checked against the
- * payload and the declared sample count, so a corrupted or hostile
- * payload yields `false`, never undefined behaviour (the fuzz test
- * leans on this under ASan/UBSan).
+ * Decoding is defensive and works a miniblock at a time: each block's
+ * width byte and byte count are checked against the payload before it
+ * is unpacked, and its values' range test is folded into one check per
+ * block, so a corrupted or hostile payload yields `false`, never
+ * undefined behaviour.  The verdict is exactly that of a bit-at-a-time
+ * reference decoder; tests/store keeps that decoder as the oracle of a
+ * differential suite that runs under ASan/UBSan.
  */
 
 #ifndef EMPROF_STORE_CHUNK_CODEC_HPP
@@ -69,6 +72,17 @@ EncodedChunk encodeChunk(const dsp::Sample *samples, std::size_t count,
 bool decodeChunk(const uint8_t *payload, std::size_t payloadBytes,
                  ChunkEncoding encoding, SampleCodec codec, float scale,
                  std::size_t count, dsp::Sample *out);
+
+/**
+ * The most samples a @p payloadBytes payload can decode to: exactly
+ * payloadBytes / width for Raw, 128 * (payloadBytes - 8) + 1 for
+ * DeltaPacked (the first value, then a width-0 miniblock of 128 deltas
+ * per remaining byte), 0 for an unknown encoding or codec.  Readers
+ * reject a chunk header that declares more before they allocate its
+ * samples.
+ */
+uint64_t maxChunkSamples(uint64_t payloadBytes, ChunkEncoding encoding,
+                         SampleCodec codec);
 
 /**
  * Quantise one sample the way the encoder does — exposed so tests can

@@ -1,6 +1,6 @@
 #include "store/crc32c.hpp"
 
-#include <array>
+#include "store/crc32c_detail.hpp"
 
 namespace emprof::store {
 
@@ -31,8 +31,21 @@ constexpr Tables kTables{};
 
 } // namespace
 
+namespace detail {
+
+bool
+crc32cSse42Available()
+{
+#if !defined(EMPROF_DISABLE_SIMD) && defined(__GNUC__) && \
+    (defined(__x86_64__) || defined(__i386__))
+    return __builtin_cpu_supports("sse4.2") != 0;
+#else
+    return false;
+#endif
+}
+
 uint32_t
-crc32c(uint32_t crc, const void *data, std::size_t len)
+crc32cPortable(uint32_t crc, const void *data, std::size_t len)
 {
     const auto *p = static_cast<const uint8_t *>(data);
     crc = ~crc;
@@ -62,6 +75,19 @@ crc32c(uint32_t crc, const void *data, std::size_t len)
         --len;
     }
     return ~crc;
+}
+
+} // namespace detail
+
+uint32_t
+crc32c(uint32_t crc, const void *data, std::size_t len)
+{
+#if !defined(EMPROF_DISABLE_SIMD)
+    static const bool hardware = detail::crc32cSse42Available();
+    if (hardware)
+        return detail::crc32cSse42(crc, data, len);
+#endif
+    return detail::crc32cPortable(crc, data, len);
 }
 
 } // namespace emprof::store

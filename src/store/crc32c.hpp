@@ -5,10 +5,12 @@
  * The EMCAP container checks every header, chunk, and footer with
  * CRC32C — the same polynomial iSCSI, btrfs, and ext4 use, chosen for
  * its better burst-error detection than CRC32 (IEEE) and because
- * hardware ISAs accelerate it (SSE4.2 crc32, ARMv8 CRC).  This is a
- * portable slicing-by-8 software implementation: one table lookup per
- * input byte lane, ~1 GB/s on commodity cores, no CPU feature
- * detection needed anywhere the tests run.
+ * hardware ISAs accelerate it.  crc32c() picks its implementation once
+ * per process: the SSE4.2 `crc32` instruction, eight bytes per step,
+ * when the CPU has it and the build keeps it (EMPROF_DISABLE_SIMD
+ * compiles it out), else portable slicing-by-8 tables.  Both give the
+ * same digest for every input; crc32c_detail.hpp exposes them to the
+ * tests that check this.
  */
 
 #ifndef EMPROF_STORE_CRC32C_HPP

@@ -10,7 +10,9 @@
  * typed errors, never crashes or wrong-but-plausible reports.
  */
 
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 
 #include "../e2e/golden_common.hpp"
 #include "serve/session_pipeline.hpp"
+#include "store/crc32c.hpp"
 
 using namespace emprof;
 using namespace emprof::serve;
@@ -128,7 +131,86 @@ runFraming(const std::vector<uint8_t> &bytes, std::size_t step,
     return result;
 }
 
+/**
+ * A 112-byte upload: a valid file header, then one chunk declaring
+ * @p count samples over a 20-byte zero payload, every CRC valid.  The
+ * header declares the same total, so only the chunk's own bytes can
+ * show the count is impossible.
+ */
+std::vector<uint8_t>
+hostileUpload(uint32_t count)
+{
+    store::FileHeader header{};
+    std::memcpy(header.magic, store::kEmcapMagic, sizeof(header.magic));
+    header.version = store::kEmcapVersion;
+    header.codec = static_cast<uint32_t>(store::SampleCodec::F32);
+    header.sampleRateHz = golden::kSampleRateHz;
+    header.clockHz = 1e9;
+    header.totalSamples = count;
+    header.headerCrc = store::crc32c(
+        0, &header, offsetof(store::FileHeader, headerCrc));
+
+    const std::vector<uint8_t> payload(20, 0);
+    store::ChunkHeader chunk{};
+    chunk.encoding =
+        static_cast<uint32_t>(store::ChunkEncoding::DeltaPacked);
+    chunk.sampleCount = count;
+    chunk.payloadBytes = static_cast<uint32_t>(payload.size());
+    chunk.scale = 1.0f;
+    chunk.crc = store::crc32c(
+        store::crc32c(0, &chunk, offsetof(store::ChunkHeader, crc)),
+        payload.data(), payload.size());
+
+    std::vector<uint8_t> bytes(sizeof(header) + sizeof(chunk) +
+                               payload.size());
+    std::memcpy(bytes.data(), &header, sizeof(header));
+    std::memcpy(bytes.data() + sizeof(header), &chunk, sizeof(chunk));
+    std::memcpy(bytes.data() + sizeof(header) + sizeof(chunk),
+                payload.data(), payload.size());
+    return bytes;
+}
+
 } // namespace
+
+TEST(SessionPipeline, HostileChunkHeaderIsRejectedBeforeAllocating)
+{
+    // 20 payload bytes hold at most 1 + 128 * (20 - 8) = 1537 samples.
+    // The smallest impossible count, then the 1 GiB and 16 GiB asks
+    // must all be refused at the chunk header, before the decoder grows
+    // the caller's sample buffer.
+    constexpr uint32_t bound = 1537;
+    for (const uint32_t count :
+         {bound + 1, uint32_t{1} << 28, uint32_t{0xFFFFFFF0}}) {
+        const auto bytes = hostileUpload(count);
+        ASSERT_EQ(bytes.size(), 112u);
+
+        EmcapStreamDecoder decoder;
+        std::vector<dsp::Sample> out;
+        std::string error;
+        ASSERT_FALSE(decoder.feed(bytes.data(), bytes.size(), out, &error))
+            << count;
+        EXPECT_NE(error.find("chunk header implausible"),
+                  std::string::npos)
+            << error;
+        ASSERT_EQ(out.capacity(), 0u) << "count " << count;
+
+        SessionPipeline pipeline(baseConfig());
+        EXPECT_FALSE(pipeline.feed(bytes.data(), bytes.size(), &error));
+        EXPECT_NE(error.find("chunk header implausible"),
+                  std::string::npos)
+            << error;
+        EXPECT_TRUE(pipeline.poisoned());
+    }
+
+    // At the bound the header is plausible and the payload decodes.
+    const auto bytes = hostileUpload(bound);
+    EmcapStreamDecoder decoder;
+    std::vector<dsp::Sample> out;
+    std::string error;
+    EXPECT_TRUE(decoder.feed(bytes.data(), bytes.size(), out, &error))
+        << error;
+    EXPECT_EQ(out.size(), bound);
+}
 
 TEST(SessionPipeline, HeaderRecoversCaptureMetadata)
 {

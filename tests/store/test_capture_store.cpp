@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -16,6 +17,7 @@
 #include "dsp/rng.hpp"
 #include "store/capture_reader.hpp"
 #include "store/capture_writer.hpp"
+#include "store/crc32c.hpp"
 
 namespace emprof::store {
 namespace {
@@ -61,6 +63,136 @@ flipByte(const std::string &path, long offset, uint8_t mask = 0xFF)
     ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
     std::fputc(c ^ mask, f);
     std::fclose(f);
+}
+
+template <class T>
+void
+appendBytes(std::vector<uint8_t> &bytes, const T &value)
+{
+    const auto *p = reinterpret_cast<const uint8_t *>(&value);
+    bytes.insert(bytes.end(), p, p + sizeof(value));
+}
+
+/** Append one chunk over a zero payload, with a valid CRC. */
+void
+appendChunk(std::vector<uint8_t> &bytes, ChunkEncoding encoding,
+            uint32_t sampleCount, uint32_t payloadBytes)
+{
+    const std::vector<uint8_t> payload(payloadBytes, 0);
+    ChunkHeader chunk{};
+    chunk.encoding = static_cast<uint32_t>(encoding);
+    chunk.sampleCount = sampleCount;
+    chunk.payloadBytes = payloadBytes;
+    chunk.scale = 1.0f;
+    chunk.crc = crc32c(crc32c(0, &chunk, offsetof(ChunkHeader, crc)),
+                       payload.data(), payload.size());
+    appendBytes(bytes, chunk);
+    bytes.insert(bytes.end(), payload.begin(), payload.end());
+}
+
+/** An F32 file header declaring @p totalSamples, with a valid CRC. */
+std::vector<uint8_t>
+fileHeaderBytes(uint64_t totalSamples)
+{
+    FileHeader header{};
+    std::memcpy(header.magic, kEmcapMagic, sizeof(header.magic));
+    header.version = kEmcapVersion;
+    header.codec = static_cast<uint32_t>(SampleCodec::F32);
+    header.sampleRateHz = 40e6;
+    header.totalSamples = totalSamples;
+    header.headerCrc = crc32c(0, &header, offsetof(FileHeader, headerCrc));
+    std::vector<uint8_t> bytes;
+    appendBytes(bytes, header);
+    return bytes;
+}
+
+/**
+ * A capture a hostile writer could produce: one F32 chunk declaring
+ * @p sampleCount samples over a 20-byte zero payload, header, index
+ * and footer all consistent and every CRC valid.
+ */
+std::vector<uint8_t>
+hostileCapture(ChunkEncoding encoding, uint32_t sampleCount)
+{
+    std::vector<uint8_t> bytes = fileHeaderBytes(sampleCount);
+    appendChunk(bytes, encoding, sampleCount, 20);
+
+    const ChunkIndexEntry entry{sizeof(FileHeader), 0, sampleCount,
+                                sizeof(ChunkHeader) + 20};
+    FooterTail tail{1, sampleCount, 0, {'E', 'M', 'C', 'F'}};
+    tail.footerCrc = crc32c(crc32c(0, &entry, sizeof(entry)), &tail,
+                            offsetof(FooterTail, footerCrc));
+    appendBytes(bytes, entry);
+    appendBytes(bytes, tail);
+    return bytes;
+}
+
+void
+writeFileBytes(const std::string &path, const std::vector<uint8_t> &bytes)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+}
+
+TEST(CaptureStore, ImpossibleSampleCountFailsOpen)
+{
+    // 2^28 samples (1 GiB decoded) from 20 payload bytes, which hold
+    // at most 1537: open() must refuse before anyone sizes a buffer
+    // from the index.
+    const auto path = tempPath("hostile_open.emcap");
+    writeFileBytes(path,
+                   hostileCapture(ChunkEncoding::DeltaPacked, 1u << 28));
+    CaptureReader reader;
+    std::string error;
+    ASSERT_FALSE(reader.open(path, &error));
+    EXPECT_NE(error.find("more samples than its payload can encode"),
+              std::string::npos)
+        << error;
+    std::remove(path.c_str());
+}
+
+TEST(CaptureStore, ImpossibleSampleCountFailsDecodeBeforeAllocating)
+{
+    // 1000 samples fit 20 bytes of DeltaPacked payload, so the index
+    // passes open(); but this chunk is Raw, where 20 bytes hold 5.
+    const auto path = tempPath("hostile_decode.emcap");
+    writeFileBytes(path, hostileCapture(ChunkEncoding::Raw, 1000));
+    CaptureReader reader;
+    std::string error;
+    ASSERT_TRUE(reader.open(path, &error)) << error;
+
+    std::vector<dsp::Sample> out;
+    ASSERT_FALSE(reader.decodeChunk(0, out, &error));
+    EXPECT_NE(error.find("more samples than its payload can encode"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(out.capacity(), 0u);
+    EXPECT_FALSE(reader.verify().ok);
+    std::remove(path.c_str());
+}
+
+TEST(CaptureStore, ImpossibleSampleCountEndsRecovery)
+{
+    // A torn capture: one sound 1-sample chunk, then a CRC-valid chunk
+    // declaring 2^28 samples.  Salvage keeps the first and stops.
+    std::vector<uint8_t> bytes = fileHeaderBytes(0);
+    appendChunk(bytes, ChunkEncoding::DeltaPacked, 1, 8);
+    appendChunk(bytes, ChunkEncoding::DeltaPacked, 1u << 28, 20);
+
+    const auto path = tempPath("hostile_recover.emcap");
+    writeFileBytes(path, bytes);
+    CaptureReader reader;
+    RecoveryReport report;
+    std::string error;
+    ASSERT_TRUE(reader.openRecovered(path, &report, &error)) << error;
+    EXPECT_EQ(report.salvagedChunks, 1u);
+    EXPECT_EQ(reader.info().totalSamples, 1u);
+    EXPECT_NE(report.stopReason.find("more samples than its payload"),
+              std::string::npos)
+        << report.stopReason;
+    std::remove(path.c_str());
 }
 
 TEST(CaptureStore, LosslessRoundTripIsBitExact)

@@ -183,5 +183,53 @@ TEST(ChunkCodec, DecodeRejectsTruncatedOrPaddedPayloads)
                              enc.scale, in.size(), out.data()));
 }
 
+TEST(ChunkCodec, MaxChunkSamplesIsTheTightBound)
+{
+    using E = ChunkEncoding;
+    using C = SampleCodec;
+    EXPECT_EQ(maxChunkSamples(20, E::Raw, C::F32), 5u);
+    EXPECT_EQ(maxChunkSamples(21, E::Raw, C::F32), 5u);
+    EXPECT_EQ(maxChunkSamples(20, E::Raw, C::QuantI16), 10u);
+    EXPECT_EQ(maxChunkSamples(7, E::DeltaPacked, C::F32), 0u);
+    EXPECT_EQ(maxChunkSamples(8, E::DeltaPacked, C::F32), 1u);
+    EXPECT_EQ(maxChunkSamples(20, E::DeltaPacked, C::QuantI16), 1537u);
+    EXPECT_EQ(maxChunkSamples(0xFFFFFFFFu, E::DeltaPacked, C::F32),
+              128 * (uint64_t{0xFFFFFFFF} - 8) + 1);
+    EXPECT_EQ(maxChunkSamples(64, static_cast<E>(7), C::F32), 0u);
+    EXPECT_EQ(maxChunkSamples(64, E::Raw, static_cast<C>(0)), 0u);
+
+    // Reachable: a first value then only width-0 miniblocks decodes to
+    // exactly the bound, and one sample more is malformed.
+    for (const std::size_t payload_bytes : {8u, 9u, 20u}) {
+        std::vector<uint8_t> payload(payload_bytes, 0);
+        const auto bound = static_cast<std::size_t>(maxChunkSamples(
+            payload_bytes, E::DeltaPacked, C::F32));
+        std::vector<dsp::Sample> out(bound + 1);
+        EXPECT_TRUE(decodeChunk(payload.data(), payload.size(),
+                                E::DeltaPacked, C::F32, 1.0f, bound,
+                                out.data()))
+            << payload_bytes;
+        EXPECT_FALSE(decodeChunk(payload.data(), payload.size(),
+                                 E::DeltaPacked, C::F32, 1.0f, bound + 1,
+                                 out.data()))
+            << payload_bytes;
+    }
+
+    // Every encoder output respects it.
+    for (const std::size_t n : {1u, 2u, 129u, 5000u}) {
+        const auto in = plateauSignal(n, n);
+        for (const C codec : {C::F32, C::QuantI16}) {
+            for (const bool compress : {true, false}) {
+                EncoderOptions opt;
+                opt.codec = codec;
+                opt.compress = compress;
+                const auto enc = encodeChunk(in.data(), n, opt);
+                EXPECT_LE(n, maxChunkSamples(enc.payload.size(),
+                                             enc.encoding, codec));
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace emprof::store

@@ -1,8 +1,9 @@
 /**
  * @file
  * CRC32C unit tests: known-answer vectors, incremental equivalence,
- * and the error-detection property the container leans on (any
- * single-byte change flips the CRC).
+ * the error-detection property the container leans on (any
+ * single-byte change flips the CRC), and agreement between the
+ * portable and SSE4.2 implementations behind crc32c().
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "store/crc32c.hpp"
+#include "store/crc32c_detail.hpp"
 
 namespace emprof::store {
 namespace {
@@ -22,22 +24,84 @@ oneShot(const void *data, std::size_t len)
     return crc32c(0, data, len);
 }
 
-TEST(Crc32c, KnownAnswerVectors)
+using Crc32cFn = uint32_t (*)(uint32_t, const void *, std::size_t);
+
+/** RFC 3720 appendix B.4 test vectors (iSCSI uses CRC32C). */
+void
+expectKnownAnswers(Crc32cFn crc, const char *name)
 {
-    // RFC 3720 appendix B.4 test vectors (iSCSI uses CRC32C).
-    EXPECT_EQ(oneShot("", 0), 0u);
-    EXPECT_EQ(oneShot("123456789", 9), 0xE3069283u);
+    EXPECT_EQ(crc(0, "", 0), 0u) << name;
+    EXPECT_EQ(crc(0, "123456789", 9), 0xE3069283u) << name;
 
     const std::vector<uint8_t> zeros(32, 0x00);
-    EXPECT_EQ(oneShot(zeros.data(), zeros.size()), 0x8A9136AAu);
+    EXPECT_EQ(crc(0, zeros.data(), zeros.size()), 0x8A9136AAu) << name;
 
     const std::vector<uint8_t> ones(32, 0xFF);
-    EXPECT_EQ(oneShot(ones.data(), ones.size()), 0x62A8AB43u);
+    EXPECT_EQ(crc(0, ones.data(), ones.size()), 0x62A8AB43u) << name;
 
     std::vector<uint8_t> ascending(32);
     for (std::size_t i = 0; i < ascending.size(); ++i)
         ascending[i] = static_cast<uint8_t>(i);
-    EXPECT_EQ(oneShot(ascending.data(), ascending.size()), 0x46DD794Eu);
+    EXPECT_EQ(crc(0, ascending.data(), ascending.size()), 0x46DD794Eu)
+        << name;
+}
+
+TEST(Crc32c, KnownAnswerVectors)
+{
+    expectKnownAnswers(crc32c, "crc32c");
+    expectKnownAnswers(detail::crc32cPortable, "portable");
+#if !defined(EMPROF_DISABLE_SIMD)
+    if (detail::crc32cSse42Available())
+        expectKnownAnswers(detail::crc32cSse42, "sse4.2");
+#endif
+}
+
+TEST(Crc32c, PortableAndSse42PathsAgree)
+{
+#if defined(EMPROF_DISABLE_SIMD)
+    GTEST_SKIP() << "SSE4.2 CRC32C compiled out (EMPROF_DISABLE_SIMD); "
+                    "only the portable path is built";
+#else
+    if (!detail::crc32cSse42Available())
+        GTEST_SKIP() << "this CPU lacks SSE4.2; crc32c() uses the "
+                        "portable path";
+
+    std::vector<uint8_t> arena(1024 + 8);
+    for (std::size_t i = 0; i < arena.size(); ++i)
+        arena[i] = static_cast<uint8_t>(i * 131 + (i >> 3) * 7 + 1);
+
+    // Every length at every alignment, from zero and from a running
+    // CRC (the second half of a split call starts from one).
+    for (std::size_t shift = 0; shift < 8; ++shift) {
+        const uint8_t *p = arena.data() + shift;
+        for (std::size_t len = 0; len <= 1024; ++len) {
+            ASSERT_EQ(detail::crc32cSse42(0, p, len),
+                      detail::crc32cPortable(0, p, len))
+                << "len " << len << " shift " << shift;
+            ASSERT_EQ(detail::crc32cSse42(0xDEADBEEFu, p, len),
+                      detail::crc32cPortable(0xDEADBEEFu, p, len))
+                << "len " << len << " shift " << shift;
+        }
+    }
+
+    // Every split point of 1 KiB, each half on either path.
+    const uint8_t *p = arena.data() + 3;
+    const std::size_t n = 1024;
+    const uint32_t whole = detail::crc32cPortable(0, p, n);
+    for (std::size_t split = 0; split <= n; ++split) {
+        const uint32_t hw_head = detail::crc32cSse42(0, p, split);
+        const uint32_t sw_head = detail::crc32cPortable(0, p, split);
+        ASSERT_EQ(detail::crc32cSse42(hw_head, p + split, n - split),
+                  whole)
+            << "split " << split;
+        ASSERT_EQ(detail::crc32cPortable(hw_head, p + split, n - split),
+                  whole)
+            << "split " << split;
+        ASSERT_EQ(detail::crc32cSse42(sw_head, p + split, n - split),
+                  whole)
+            << "split " << split;
+    }
+#endif
 }
 
 TEST(Crc32c, IncrementalMatchesOneShot)
