@@ -1,22 +1,36 @@
 /**
  * @file
- * End-to-end analysis throughput: streaming vs. parallel analyze.
+ * End-to-end analysis throughput: streaming vs. parallel analyze, and
+ * the offline EMCAP path.
  *
  * Synthesises a 40 MHz capture (default 64 Mi samples, dips every few
  * microseconds like a memory-bound workload), then measures wall-clock
- * samples/s for the streaming path and for the parallel chunked
- * analyzer at 1/2/4/8 threads, asserting that every run produces the
- * same number of events.  Each mode gets an untimed warm-up pass (an
- * eighth of the capture) and the best of N timed runs; the JSON also
- * records the run-to-run variance ((worst - best) / best) and a
- * per-stage time breakdown, so a regression can be attributed to
- * normalise vs. detect vs. stitch without rerunning under a profiler.
- * The timed runs execute with the metrics registry *disabled* (the
- * numbers measure the pipeline, not its instrumentation); the stage
- * breakdown comes from one extra untimed instrumented pass per mode.
- * Results go to stdout and, as machine-readable JSON, to a file
- * (default BENCH_pipeline.json) so the perf trajectory can be tracked
- * across PRs — see tools/bench_pipeline.sh.
+ * samples/s for three modes:
+ *
+ *  - `streaming`: EmProf::analyze on the in-memory series;
+ *  - `parallel`: in-memory ParallelAnalyzer::analyze at 1/2/4/8
+ *    threads (the batch kernel times the workers);
+ *  - `emcap`: the same series written once through CaptureWriter's
+ *    default codec to a temporary file, then CaptureReader::open +
+ *    analyzeCaptureParallel at 1/2/4/8 threads — what emprof_analyze
+ *    does with an EMCAP file (decode, per-worker span windows, stitch,
+ *    report).
+ *
+ * Every run must produce the same number of events.  Each mode gets an
+ * untimed warm-up pass (an eighth of the capture) and the best of N
+ * timed runs; the JSON also records the run-to-run variance
+ * ((worst - best) / best), the minor page faults per timed run
+ * (getrusage, whole process) and a per-stage time breakdown, so a
+ * regression can be attributed to decode vs. normalise vs. detect vs.
+ * stitch without rerunning under a profiler.  The timed runs execute
+ * with the metrics registry *disabled* (the numbers measure the
+ * pipeline, not its instrumentation); the stage breakdown comes from
+ * one extra untimed instrumented pass per mode.  Results go to stdout
+ * and, as machine-readable JSON, to a file (default
+ * BENCH_pipeline.json) so the perf trajectory can be tracked across
+ * PRs — see tools/bench_pipeline.sh.  The temporary captures
+ * (bench_pipeline_*.emcap in the working directory) are deleted
+ * before exit.
  *
  *   throughput_pipeline [--samples N] [--runs N] [--json PATH]
  */
@@ -27,8 +41,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "common/thread_pool.hpp"
 #include "dsp/rng.hpp"
@@ -36,6 +53,8 @@
 #include "obs/metrics.hpp"
 #include "profiler/parallel_analyzer.hpp"
 #include "profiler/profiler.hpp"
+#include "store/capture_reader.hpp"
+#include "store/capture_writer.hpp"
 
 using namespace emprof;
 
@@ -70,13 +89,23 @@ seconds(std::chrono::steady_clock::time_point a,
     return std::chrono::duration<double>(b - a).count();
 }
 
+uint64_t
+minorFaults()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<uint64_t>(usage.ru_minflt);
+}
+
 struct Measurement
 {
+    std::string mode;    // streaming | parallel | emcap
     std::size_t threads; // 0 = streaming
     double bestSec;
     double variance; // (worst - best) / best over the timed runs
     double samplesPerSec;
     std::size_t events;
+    uint64_t minorFaults; // mean over the timed runs
     std::map<std::string, uint64_t> stageNs;
 };
 
@@ -144,18 +173,27 @@ main(int argc, char **argv)
     bool consistent = true;
 
     // One mode = warm-up + N metrics-free timed runs (best-of) + one
-    // instrumented pass for the stage breakdown.
-    const auto measure = [&](std::size_t threads, auto &&fn) {
-        fn(warm); // untimed warm-up
+    // instrumented pass for the stage breakdown.  fn(true) analyses the
+    // warm-up input, fn(false) the full capture; nullopt means the
+    // analysis failed.
+    using Result = std::optional<profiler::ProfileResult>;
+    const auto measure = [&](const char *mode, std::size_t threads,
+                             auto &&fn) {
+        fn(true); // untimed warm-up
         obs::MetricsRegistry::setEnabled(false);
         double best = 0.0, worst = 0.0;
         std::size_t events = 0;
+        uint64_t faults = 0;
         for (std::size_t r = 0; r < timed_runs; ++r) {
+            const uint64_t f0 = minorFaults();
             const auto t0 = std::chrono::steady_clock::now();
-            const profiler::ProfileResult result = fn(sig);
+            const Result result = fn(false);
             const auto t1 = std::chrono::steady_clock::now();
+            faults += minorFaults() - f0;
+            if (!result)
+                consistent = false;
+            events = result ? result->events.size() : 0;
             const double sec = seconds(t0, t1);
-            events = result.events.size();
             if (r == 0 || sec < best)
                 best = sec;
             if (r == 0 || sec > worst)
@@ -163,39 +201,77 @@ main(int argc, char **argv)
         }
         obs::MetricsRegistry::setEnabled(true);
         obs::MetricsRegistry::instance().resetValues();
-        fn(sig); // untimed instrumented pass
+        fn(false); // untimed instrumented pass
         Measurement m;
+        m.mode = mode;
         m.threads = threads;
         m.bestSec = best;
         m.variance = (worst - best) / best;
         m.samplesPerSec = static_cast<double>(total) / best;
         m.events = events;
+        m.minorFaults = faults / timed_runs;
         m.stageNs = scrapeStages();
         runs.push_back(std::move(m));
         if (runs.size() == 1)
             ref_events = events;
         else if (events != ref_events)
             consistent = false;
+        const std::string label =
+            threads == 0 ? std::string(mode)
+                         : std::string(mode) + " x" +
+                               std::to_string(threads);
         std::printf("%-14s: %7.3f s  %8.1f Msamples/s  %zu events  "
-                    "(%.2fx streaming, +-%.1f%%)\n",
-                    threads == 0
-                        ? "streaming"
-                        : ("parallel x" + std::to_string(threads))
-                              .c_str(),
-                    best, m.samplesPerSec / 1e6, events,
+                    "%7llu faults  (%.2fx streaming, +-%.1f%%)\n",
+                    label.c_str(), best, m.samplesPerSec / 1e6, events,
+                    static_cast<unsigned long long>(m.minorFaults),
                     runs.front().bestSec / best, m.variance * 100.0);
     };
 
-    measure(0, [&](const dsp::TimeSeries &s) {
-        return profiler::EmProf::analyze(s, config);
+    measure("streaming", 0, [&](bool warmUp) -> Result {
+        return profiler::EmProf::analyze(warmUp ? warm : sig, config);
     });
     for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
         profiler::ParallelAnalyzerConfig pcfg;
         pcfg.threads = threads;
-        measure(threads, [&, pcfg](const dsp::TimeSeries &s) {
-            return profiler::analyzeParallel(s, config, pcfg);
+        measure("parallel", threads, [&, pcfg](bool warmUp) -> Result {
+            return profiler::analyzeParallel(warmUp ? warm : sig, config,
+                                             pcfg);
         });
     }
+
+    // The offline EMCAP path: encode once, analyse off disk.
+    const std::string capture_path = "bench_pipeline_capture.emcap";
+    const std::string warm_path = "bench_pipeline_warm.emcap";
+    std::string error;
+    if (!store::writeCapture(capture_path, sig, store::WriterOptions{},
+                             nullptr, &error) ||
+        !store::writeCapture(warm_path, warm, store::WriterOptions{},
+                             nullptr, &error)) {
+        std::fprintf(stderr, "ERROR: cannot write capture: %s\n",
+                     error.c_str());
+        consistent = false;
+    } else {
+        for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+            profiler::ParallelAnalyzerConfig pcfg;
+            pcfg.threads = threads;
+            measure("emcap", threads, [&, pcfg](bool warmUp) -> Result {
+                store::CaptureReader reader;
+                profiler::ProfileResult result;
+                std::string why;
+                if (!reader.open(warmUp ? warm_path : capture_path,
+                                 &why) ||
+                    !profiler::analyzeCaptureParallel(
+                        reader, config, result, pcfg, &why)) {
+                    std::fprintf(stderr, "ERROR: emcap x%zu: %s\n",
+                                 pcfg.threads, why.c_str());
+                    return std::nullopt;
+                }
+                return result;
+            });
+        }
+    }
+    std::remove(capture_path.c_str());
+    std::remove(warm_path.c_str());
     if (!consistent)
         std::fprintf(stderr, "ERROR: event counts diverged\n");
 
@@ -224,10 +300,11 @@ main(int argc, char **argv)
             "    {\"mode\": \"%s\", \"threads\": %zu, "
             "\"seconds\": %.6f, \"samples_per_sec\": %.1f, "
             "\"speedup_vs_streaming\": %.3f, "
-            "\"run_variance\": %.4f,\n      \"stages_ns\": {",
-            r.threads == 0 ? "streaming" : "parallel", r.threads,
-            r.bestSec, r.samplesPerSec, stream_best / r.bestSec,
-            r.variance);
+            "\"run_variance\": %.4f, \"minor_faults\": %llu,\n"
+            "      \"stages_ns\": {",
+            r.mode.c_str(), r.threads, r.bestSec, r.samplesPerSec,
+            stream_best / r.bestSec, r.variance,
+            static_cast<unsigned long long>(r.minorFaults));
         std::size_t k = 0;
         for (const auto &[stage, ns] : r.stageNs)
             std::fprintf(f, "%s\"%s\": %llu",

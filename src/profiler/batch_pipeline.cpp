@@ -111,6 +111,7 @@ analyzeChunkStreaming(const dsp::Sample *data, uint64_t dataBegin,
         if (detector.push(normalized, ev)) {
             ev.startSample += begin;
             ev.endSample += begin;
+            classifyStall(ev, config);
             r.events.push_back(ev);
         }
     }

@@ -70,7 +70,7 @@ struct ChunkResult
     uint64_t begin = 0;
     uint64_t end = 0;
     std::vector<double> prefixNorms;
-    std::vector<StallEvent> events;  // raw dips, unclassified
+    std::vector<StallEvent> events;  // classified (classifyStall)
     std::vector<SignalBlock> blocks; // quality blocks owned here
     DipDetector::DipState open;      // dip still open at chunk end
 };

@@ -94,6 +94,7 @@ struct Emitter
     };
 
     ChunkResult *r;
+    const EmProfConfig *cfg;
     uint64_t begin;
     double enterT;
     double exitT;
@@ -103,14 +104,15 @@ struct Emitter
     DipCursor cur;
 
     Emitter(const EmProfConfig &config, ChunkResult *result)
-        : r(result), begin(result->begin),
+        : r(result), cfg(&config), begin(result->begin),
           enterT(config.detectorConfig().enterThreshold),
           exitT(config.detectorConfig().exitThreshold),
           minDur(config.detectorConfig().minDurationSamples),
           prefixExit(config.exitThreshold)
     {}
 
-    /** Dip close: emit if long enough, mirror DipDetector's metrics. */
+    /** Dip close: emit (classified) if long enough, mirror
+     *  DipDetector's metrics. */
     __attribute__((cold, noinline)) void
     closeDip(uint64_t start, uint64_t last, double sum, uint64_t cnt)
     {
@@ -121,6 +123,7 @@ struct Emitter
             ev.endSample = last + begin;
             ev.depth =
                 cnt == 0 ? 0.0 : sum / static_cast<double>(cnt);
+            classifyStall(ev, *cfg);
             r->events.push_back(ev);
         }
         if (obs::MetricsRegistry::enabled()) {

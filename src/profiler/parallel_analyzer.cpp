@@ -11,6 +11,7 @@
 #include "obs/stage_profiler.hpp"
 #include "profiler/batch_pipeline.hpp"
 #include "profiler/report.hpp"
+#include "profiler/span_window.hpp"
 #include "profiler/stitch.hpp"
 #include "store/capture_reader.hpp"
 
@@ -52,9 +53,10 @@ recordParallelGauges(std::size_t workers, std::size_t chunk,
 
 /**
  * Sequential tail shared by both parallel paths: feed the pool-ordered
- * chunk results through the incremental stitcher (see stitch.hpp), then
- * classify / quarantine / report.  The serving path drives the same
- * ChunkStitcher one chunk at a time as uploads arrive.
+ * chunk results through the incremental stitcher (see stitch.hpp),
+ * with the event list sized once up front, then quarantine / report.
+ * The serving path drives the same ChunkStitcher one chunk at a time as
+ * uploads arrive.
  */
 ProfileResult
 finalizeChunks(const std::vector<ChunkResult> &chunks,
@@ -62,9 +64,33 @@ finalizeChunks(const std::vector<ChunkResult> &chunks,
 {
     EMPROF_OBS_STAGE("analyze.stitch");
     ChunkStitcher stitcher(config);
+    std::size_t events = 0;
+    for (const auto &chunk : chunks)
+        events += chunk.events.size() + 1;
+    stitcher.reserveEvents(events);
     for (const auto &chunk : chunks)
         stitcher.feed(chunk);
     return stitcher.finalize(total_samples);
+}
+
+/** Run @p run(0..count) on up to @p workers pool threads (inline on
+ *  one). */
+template <class Run>
+void
+runTasks(std::size_t workers, std::size_t count, const Run &run)
+{
+    if (workers <= 1 || count < 2) {
+        for (std::size_t t = 0; t < count; ++t)
+            run(t);
+        return;
+    }
+    common::ThreadPool pool(std::min(workers, count));
+    std::vector<std::future<void>> pending;
+    pending.reserve(count);
+    for (std::size_t t = 0; t < count; ++t)
+        pending.push_back(pool.submit([&run, t] { run(t); }));
+    for (auto &f : pending)
+        f.get();
 }
 
 } // namespace
@@ -109,28 +135,16 @@ ParallelAnalyzer::analyze(const dsp::TimeSeries &magnitude,
     std::vector<ChunkResult> results(num_chunks);
     const auto &samples = magnitude.samples;
     const bool fast = config_.fastMathSimd;
-    const auto run = [&, chunk, n](std::size_t c) {
+    // Explicitly-sized chunks still go through the chunk + stitch
+    // machinery on one worker (results are identical; tests rely on
+    // exercising the stitcher regardless of core count) — just without
+    // spinning up a pool.
+    runTasks(workers, num_chunks, [&, chunk, n](std::size_t c) {
         const uint64_t begin = static_cast<uint64_t>(c) * chunk;
         const uint64_t end = std::min<uint64_t>(begin + chunk, n);
         results[c] = analyzeChunkAuto(samples.data(), 0, begin, end,
                                       c + 1 == num_chunks, config, fast);
-    };
-    if (workers <= 1 || num_chunks < 2) {
-        // Explicitly-sized chunks still go through the chunk + stitch
-        // machinery on one worker (results are identical; tests rely on
-        // exercising the stitcher regardless of core count) — just
-        // without spinning up a pool.
-        for (std::size_t c = 0; c < num_chunks; ++c)
-            run(c);
-    } else {
-        common::ThreadPool pool(std::min(workers, num_chunks));
-        std::vector<std::future<void>> pending;
-        pending.reserve(num_chunks);
-        for (std::size_t c = 0; c < num_chunks; ++c)
-            pending.push_back(pool.submit([&run, c] { run(c); }));
-        for (auto &f : pending)
-            f.get();
-    }
+    });
 
     return finalizeChunks(results, config, n);
 }
@@ -164,85 +178,111 @@ ParallelAnalyzer::analyzeCapture(const store::CaptureReader &reader,
         return true;
     };
 
-    std::size_t chunk = config_.chunkSamples;
-    if (chunk == 0) {
-        if (n < config_.minParallelSamples ||
-            (workers <= 1 && !batchPipelineActive()))
-            return streaming();
-        chunk = std::max<std::size_t>(8 * config.normWindowSamples(),
-                                      (n + workers - 1) / workers);
-    }
-    chunk = std::max<std::size_t>(chunk, 1);
+    if (config_.chunkSamples == 0 &&
+        (n < config_.minParallelSamples ||
+         (workers <= 1 && !batchPipelineActive())))
+        return streaming();
+    const std::size_t span =
+        config_.chunkSamples != 0
+            ? config_.chunkSamples
+            : SpanWindow::defaultSpanSamples(config);
 
-    // Analysis tasks aligned to stored-chunk boundaries, each spanning
-    // enough stored chunks to reach the target analysis chunk size, so
-    // no stored chunk is decoded twice except as a neighbour's halo.
-    struct Span
+    // One range of whole stored chunks per worker (static
+    // partitioning: no queue, no stored chunk decoded twice except as
+    // a neighbour's halo), floored at one span so no range spends
+    // more on its halo than on its own samples.
+    struct Range
     {
+        std::size_t firstChunk;
+        std::size_t endChunk;
         uint64_t begin;
-        uint64_t end;
     };
-    std::vector<Span> spans;
+    std::vector<Range> ranges;
+    const uint64_t target =
+        std::max<uint64_t>(span, (n + workers - 1) / workers);
     uint64_t next_begin = 0;
+    std::size_t next_chunk = 0;
     for (std::size_t c = 0; c < reader.chunkCount(); ++c) {
         const auto &entry = reader.chunk(c);
         const uint64_t end = entry.firstSample + entry.sampleCount;
-        if (end - next_begin >= chunk ||
-            c + 1 == reader.chunkCount()) {
-            spans.push_back({next_begin, end});
+        if (end - next_begin >= target || c + 1 == reader.chunkCount()) {
+            ranges.push_back({next_chunk, c + 1, next_begin});
             next_begin = end;
+            next_chunk = c + 1;
         }
     }
-    if (spans.empty())
+    if (ranges.empty())
         return streaming();
-    recordParallelGauges(workers, chunk, spans.size());
+    recordParallelGauges(workers, span, ranges.size());
 
     EMPROF_OBS_STAGE("analyze.parallel");
-    std::vector<ChunkResult> results(spans.size());
+    std::vector<std::vector<ChunkResult>> spans(ranges.size());
     std::atomic<bool> ok{true};
     std::mutex error_mutex;
     std::string first_error;
-    const uint64_t halo_depth = config.haloSamples();
     const bool fast = config_.fastMathSimd;
-    const auto run = [&](std::size_t t) {
-        if (!ok.load(std::memory_order_relaxed))
-            return; // a sibling already failed
-        const Span span = spans[t];
-        const uint64_t halo = std::min<uint64_t>(span.begin, halo_depth);
-        std::vector<dsp::Sample> local;
+    // Each worker streams its range through its own SpanWindow:
+    // the halo, then every stored chunk decoded straight into the
+    // window, each full span analysed while it is still in cache.
+    // Working memory is halo + span + one stored chunk per worker.
+    runTasks(workers, ranges.size(), [&](std::size_t t) {
+        const Range &range = ranges[t];
+        SpanWindow window(config, span, range.begin, fast);
+        std::size_t largest = 0;
+        for (std::size_t c = range.firstChunk; c < range.endChunk; ++c)
+            largest = std::max<std::size_t>(largest,
+                                            reader.chunk(c).sampleCount);
+        window.reserveForChunks(largest);
+
+        std::vector<uint8_t> stored;
+        std::vector<dsp::Sample> scratch;
         std::string chunk_error;
-        if (!reader.readRange(span.begin - halo,
-                              halo + (span.end - span.begin), local,
-                              &chunk_error)) {
+        bool good = true;
+        for (std::size_t c = reader.chunkContaining(window.end());
+             good && c < range.endChunk; ++c) {
+            if (!ok.load(std::memory_order_relaxed))
+                return; // a sibling already failed
+            const auto &entry = reader.chunk(c);
+            if (entry.firstSample < window.end()) {
+                // The one chunk that starts before the halo: decode it
+                // aside and keep its tail.
+                good = reader.decodeChunk(c, scratch, &chunk_error);
+                if (good) {
+                    const auto from = static_cast<std::ptrdiff_t>(
+                        window.end() - entry.firstSample);
+                    std::copy(scratch.begin() + from, scratch.end(),
+                              window.extend(scratch.size() -
+                                            static_cast<std::size_t>(
+                                                from)));
+                }
+            } else {
+                good = reader.decodeChunkInto(
+                    c, window.extend(entry.sampleCount), stored,
+                    &chunk_error);
+            }
+            while (good && window.spanReady())
+                spans[t].push_back(window.analyzeNextSpan());
+        }
+        if (!good) {
             ok.store(false, std::memory_order_relaxed);
             const std::lock_guard<std::mutex> lock(error_mutex);
             if (first_error.empty())
                 first_error = chunk_error;
             return;
         }
-        results[t] = analyzeChunkAuto(local.data(), span.begin - halo,
-                                      span.begin, span.end,
-                                      t + 1 == spans.size(), config,
-                                      fast);
-    };
-    if (workers <= 1 || spans.size() < 2) {
-        for (std::size_t t = 0; t < spans.size(); ++t)
-            run(t);
-    } else {
-        common::ThreadPool pool(std::min(workers, spans.size()));
-        std::vector<std::future<void>> pending;
-        pending.reserve(spans.size());
-        for (std::size_t t = 0; t < spans.size(); ++t)
-            pending.push_back(pool.submit([&run, t] { run(t); }));
-        for (auto &f : pending)
-            f.get();
-    }
+        spans[t].push_back(window.close(t + 1 == ranges.size()));
+    });
     if (!ok.load()) {
         if (error != nullptr)
             *error = first_error;
         return false;
     }
 
+    // Stitch in range order.
+    std::vector<ChunkResult> results;
+    for (auto &range_spans : spans)
+        for (auto &r : range_spans)
+            results.push_back(std::move(r));
     out = finalizeChunks(results, config, n);
     return true;
 }

@@ -50,11 +50,14 @@ struct ParallelAnalyzerConfig
     std::size_t threads = 0;
 
     /**
-     * Chunk length in samples; 0 picks one automatically (one span per
-     * effective worker — static partitioning — floored at eight
-     * normalisation windows so the halo re-normalisation overhead
-     * stays small).  An explicit value always runs the chunk + stitch
-     * machinery, even on one worker (tests use tiny chunks to exercise
+     * Span length in samples: what one analyzeChunkAuto call covers.
+     * 0 picks it automatically — analyze() gives each effective worker
+     * one span (static partitioning), floored at eight normalisation
+     * windows so the halo re-normalisation overhead stays small;
+     * analyzeCapture() runs each worker's range through a SpanWindow
+     * with SpanWindow::defaultSpanSamples() spans.  An explicit value
+     * sets the span on both paths and always runs the chunk + stitch
+     * machinery, even on one worker (tests use tiny spans to exercise
      * boundary stitching regardless of core count).
      */
     std::size_t chunkSamples = 0;
@@ -99,20 +102,25 @@ class ParallelAnalyzer
     /**
      * Analyse an EMCAP capture straight off disk.
      *
-     * Each worker seeks to its own span of chunks via the footer index
-     * and decodes them concurrently with everyone else's dip
-     * detection — the capture is never materialised in one buffer, so
-     * peak memory is O(threads * task span), and decode overlaps
-     * analysis instead of serialising in a front-end loader.  The
-     * events are bit-identical to readAll() + analyze() (and therefore
-     * to the streaming path) for every thread count and chunk layout.
+     * Each effective worker takes one contiguous range of whole stored
+     * chunks and streams it through its own SpanWindow: it decodes the
+     * halo, then each stored chunk of its range, straight into the
+     * window, and analyses every span while it is still in cache.  The
+     * capture is never materialised in one buffer: working memory is
+     * span + halo + one stored chunk per worker, whatever the capture
+     * length (the stitched events and their per-span results aside),
+     * and decode overlaps analysis instead of serialising in a
+     * front-end loader.  The events are bit-identical to readAll() +
+     * analyze() (and therefore to the streaming path) for every thread
+     * count, span length and chunk layout.
      *
      * The capture's sample rate overrides config.sampleRateHz; its
      * clock is NOT applied to config (callers decide, since a command
      * line may override the recorded clock).
      *
      * @retval false A chunk failed its CRC or decode; @p error (if
-     *         non-null) says which.
+     *         non-null) says which.  The other workers stop at their
+     *         next chunk.
      */
     bool analyzeCapture(const store::CaptureReader &reader,
                         EmProfConfig config, ProfileResult &out,

@@ -41,6 +41,38 @@ countAttributed(const ProfileReport &report)
             static_cast<uint64_t>(report.meanLevelConfidence * 1000.0));
 }
 
+/**
+ * percentileSorted(sorted, p) without the sort.  The value interpolates
+ * between the order statistics at floor(rank) and floor(rank) + 1: the
+ * first comes from nth_element over the part of @p values not yet
+ * partitioned (@p placed onward; callers ask for ascending p, so the
+ * ranks only grow), the second is the minimum above it.  The same two
+ * values meet the same arithmetic, so the result is bit-identical to
+ * sorting first.
+ */
+double
+selectPercentile(std::vector<double> &values, std::size_t &placed,
+                 double p)
+{
+    const std::size_t n = values.size();
+    const double rank =
+        std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(n - 1);
+    const std::size_t lo = static_cast<std::size_t>(rank);
+    const std::size_t hi = std::min(lo + 1, n - 1);
+    const double frac = rank - static_cast<double>(lo);
+    const auto at = [&](std::size_t i) {
+        return values.begin() + static_cast<std::ptrdiff_t>(i);
+    };
+    if (lo >= placed) {
+        std::nth_element(at(placed), at(lo), values.end());
+        placed = lo + 1;
+    }
+    const double low = values[lo];
+    const double high =
+        hi == lo ? low : *std::min_element(at(lo + 1), values.end());
+    return low * (1.0 - frac) + high * frac;
+}
+
 } // namespace
 
 ProfileReport
@@ -90,15 +122,15 @@ makeReport(const std::vector<StallEvent> &events, double sample_rate_hz,
     }
     if (!latencies.empty()) {
         report.avgStallCycles = dsp::mean(latencies);
-        // One sort serves every percentile; four percentile() calls
-        // would copy and sort the latency vector four times, a serial
-        // tail that caps the parallel analyzer's speedup on
-        // event-dense captures.
-        std::sort(latencies.begin(), latencies.end());
-        report.medianStallCycles = dsp::percentileSorted(latencies, 50.0);
-        report.p95StallCycles = dsp::percentileSorted(latencies, 95.0);
-        report.p99StallCycles = dsp::percentileSorted(latencies, 99.0);
-        report.maxStallCycles = dsp::percentileSorted(latencies, 100.0);
+        // Selection, not a sort: this is the serial tail after the
+        // parallel phase, and event-dense captures carry ~10^6 events.
+        std::size_t placed = 0;
+        report.medianStallCycles =
+            selectPercentile(latencies, placed, 50.0);
+        report.p95StallCycles = selectPercentile(latencies, placed, 95.0);
+        report.p99StallCycles = selectPercentile(latencies, placed, 99.0);
+        report.maxStallCycles =
+            selectPercentile(latencies, placed, 100.0);
     }
     return report;
 }

@@ -1,5 +1,7 @@
 #include "profiler/stitch.hpp"
 
+#include <algorithm>
+
 #include "obs/metrics.hpp"
 #include "obs/stage_profiler.hpp"
 #include "profiler/report.hpp"
@@ -26,6 +28,7 @@ ChunkStitcher::emitCarry()
                    ? 0.0
                    : carry_.depthSum /
                          static_cast<double>(carry_.depthCount);
+    classifyStall(ev, config_);
     events_.push_back(ev);
 }
 
@@ -55,9 +58,16 @@ ChunkStitcher::feed(const ChunkResult &chunk)
         // its own that starts outside the prefix.
     }
     if (!carry_.inDip) {
-        for (const auto &ev : chunk.events)
-            if (ev.startSample >= first_valid)
-                events_.push_back(ev);
+        // Chunk events are in start order, so the kept ones are a
+        // suffix.
+        events_.insert(events_.end(),
+                       std::find_if(chunk.events.begin(),
+                                    chunk.events.end(),
+                                    [first_valid](const StallEvent &ev) {
+                                        return ev.startSample >=
+                                               first_valid;
+                                    }),
+                       chunk.events.end());
         if (chunk.open.inDip && chunk.open.start >= first_valid)
             carry_ = chunk.open;
     }
@@ -80,8 +90,6 @@ ChunkStitcher::finalize(uint64_t totalSamples)
     ProfileResult result;
     result.events = std::move(events_);
     events_.clear();
-    for (auto &ev : result.events)
-        classifyStall(ev, config_);
     SignalQualitySummary quality;
     if (config_.signal.enabled)
         quality = applySignalQuality(result.events, blocks_,

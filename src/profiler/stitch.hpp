@@ -7,11 +7,13 @@
  * per contiguous span of samples.  ChunkStitcher consumes those results
  * *in order* and maintains exactly the state the streaming detector
  * would have had at each chunk boundary: the open-dip carry, the event
- * list so far, and the quality blocks.  finalize() then classifies,
- * applies the signal-quality layer and builds the report in the same
- * order as EmProf::finish(), so the stitched result is bit-identical to
- * the streaming path no matter how the input was cut into chunks — or
- * how long the gaps between feed() calls were.
+ * list so far, and the quality blocks.  Chunk events arrive already
+ * classified (the kernels classify where they emit, as EmProf::push
+ * does); the stitcher classifies only the dips it closes itself.
+ * finalize() then applies the signal-quality layer and builds the
+ * report in the same order as EmProf::finish(), so the stitched result
+ * is bit-identical to the streaming path no matter how the input was
+ * cut into chunks — or how long the gaps between feed() calls were.
  *
  * This is the piece that makes analysis *resumable*: a server session
  * can feed a chunk, go idle for seconds while the next upload frame
@@ -27,6 +29,7 @@
 #ifndef EMPROF_PROFILER_STITCH_HPP
 #define EMPROF_PROFILER_STITCH_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -47,16 +50,23 @@ class ChunkStitcher
   public:
     explicit ChunkStitcher(const EmProfConfig &config);
 
+    /**
+     * Size the event list once for @p events events.  A caller holding
+     * every chunk result up front passes the sum of their event counts
+     * plus one per chunk (each chunk boundary can close a carried dip).
+     */
+    void reserveEvents(std::size_t events) { events_.reserve(events); }
+
     /** Merge one chunk's result into the running streaming state. */
     void feed(const ChunkResult &chunk);
 
     /**
-     * Flush the open dip (same rule as EmProf::finish()), classify,
-     * apply signal quality, and build the report over @p totalSamples.
+     * Flush the open dip (same rule as EmProf::finish()), apply signal
+     * quality, and build the report over @p totalSamples.
      */
     ProfileResult finalize(uint64_t totalSamples);
 
-    /** Events completed so far (pre-classification, pre-finalize). */
+    /** Events completed so far (classified, pre-quality-pass). */
     const std::vector<StallEvent> &events() const { return events_; }
 
     /** Samples of chunk prefixes replayed into carried dips so far. */

@@ -1,11 +1,9 @@
 #include "serve/session_pipeline.hpp"
 
-#include <algorithm>
 #include <chrono>
+#include <vector>
 
 #include "obs/metrics.hpp"
-#include "profiler/batch_pipeline.hpp"
-#include "store/emcap_format.hpp"
 
 namespace emprof::serve {
 
@@ -22,8 +20,8 @@ SessionPipeline::poison(std::string *error, const std::string &message)
 {
     poisoned_ = true;
     poisonReason_ = message;
-    buffer_.clear();
-    buffer_.shrink_to_fit();
+    if (window_)
+        window_->release();
     if (error != nullptr)
         *error = message;
     return false;
@@ -42,38 +40,22 @@ SessionPipeline::onHeader(std::string *error)
                              "analysis config: " +
                                  why);
     if (spanSamples_ == 0)
-        spanSamples_ = std::max(store::kDefaultChunkSamples,
-                                8 * config_.normWindowSamples());
+        spanSamples_ = profiler::SpanWindow::defaultSpanSamples(config_);
+    window_.emplace(config_, spanSamples_, /*first=*/0);
     stitcher_.emplace(config_);
     return true;
 }
 
 void
-SessionPipeline::analyzeSpan(uint64_t end, bool is_final)
+SessionPipeline::analyzeSpan(bool closing)
 {
     static const auto span_hist =
         obs::MetricsRegistry::instance().histogram(
             "emprof.serve.stage.analyze_span_us");
     const auto t0 = std::chrono::steady_clock::now();
 
-    const profiler::ChunkResult chunk = profiler::analyzeChunkAuto(
-        buffer_.data(), bufferBegin_, nextBegin_, end, is_final,
-        config_);
-    stitcher_->feed(chunk);
-    ++spansAnalyzed_;
-    nextBegin_ = end;
-
-    // Trim the buffer back to the halo the next span will re-feed.
-    const uint64_t halo =
-        std::min<uint64_t>(end, config_.haloSamples());
-    const uint64_t keep_from = end - halo;
-    if (keep_from > bufferBegin_) {
-        buffer_.erase(buffer_.begin(),
-                      buffer_.begin() +
-                          static_cast<std::ptrdiff_t>(keep_from -
-                                                      bufferBegin_));
-        bufferBegin_ = keep_from;
-    }
+    stitcher_->feed(closing ? window_->close(/*is_final=*/true)
+                            : window_->analyzeNextSpan());
 
     if (obs::MetricsRegistry::enabled())
         span_hist.observe(static_cast<uint64_t>(
@@ -91,17 +73,23 @@ SessionPipeline::feed(const uint8_t *data, std::size_t n,
     if (finished_)
         return poison(error, "feed() after finish()");
 
-    const bool had_header = decoder_.headerReady();
-    if (!decoder_.feed(data, n, buffer_, error))
+    // The window needs the header's config; samples decoded in the
+    // same call as the header land in `early` and become its buffer.
+    std::vector<dsp::Sample> early;
+    if (!decoder_.feed(data, n, window_ ? window_->buffer() : early,
+                       error))
         return poison(error, error != nullptr ? *error
                                               : "malformed stream");
-    if (!had_header && decoder_.headerReady() && !onHeader(error))
-        return false;
+    if (!window_ && decoder_.headerReady()) {
+        if (!onHeader(error))
+            return false;
+        window_->buffer().swap(early);
+    }
 
     // Analyse every full span, but always hold back at least one
     // sample so the closing span can carry is_final (see file doc).
-    while (bufferBegin_ + buffer_.size() - nextBegin_ > spanSamples_)
-        analyzeSpan(nextBegin_ + spanSamples_, /*is_final=*/false);
+    while (window_ && window_->spanReady())
+        analyzeSpan(/*closing=*/false);
     return true;
 }
 
@@ -122,12 +110,9 @@ SessionPipeline::finish(profiler::ProfileResult &out, std::string *error)
 
     // complete() implies every declared sample was decoded, and the
     // strict > in feed() left at least one of them unanalysed.
-    const uint64_t total = decoder_.info().totalSamples;
-    analyzeSpan(total, /*is_final=*/true);
-    out = stitcher_->finalize(total);
-
-    buffer_.clear();
-    buffer_.shrink_to_fit();
+    analyzeSpan(/*closing=*/true);
+    out = stitcher_->finalize(decoder_.info().totalSamples);
+    window_->release();
     return true;
 }
 

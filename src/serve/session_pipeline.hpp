@@ -9,10 +9,11 @@
  *     EmcapStreamDecoder  →  analyzeChunkAuto  →  ChunkStitcher
  *     (bytes → samples)      (span → ChunkResult)  (carry + report)
  *
- * feed() appends decoded samples to a working buffer; whenever the
- * buffer holds strictly more than one analysis span past the current
- * position, the span is analysed and fed to the stitcher, and the
- * buffer is trimmed back to the halo the *next* span needs.  "Strictly
+ * The decoder appends samples straight into a profiler::SpanWindow,
+ * the same bounded window each worker of the offline analyzer runs:
+ * whenever it holds strictly more than one analysis span past the
+ * current position, the span is analysed and fed to the stitcher, and
+ * the window trims back to the halo the *next* span needs.  "Strictly
  * more" keeps at least one unanalysed sample until finish(), so the
  * closing span always runs with is_final = true and owns the trailing
  * partial quality block — the same ownership rule as the parallel
@@ -37,9 +38,9 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "profiler/profiler.hpp"
+#include "profiler/span_window.hpp"
 #include "profiler/stitch.hpp"
 #include "serve/emcap_stream.hpp"
 
@@ -102,29 +103,34 @@ class SessionPipeline
 
     bool resilient() const { return config_.signal.enabled; }
 
-    /** Decoded-but-unanalysed samples currently buffered. */
-    std::size_t bufferedSamples() const { return buffer_.size(); }
+    /** Decoded samples currently buffered (halo included). */
+    std::size_t
+    bufferedSamples() const
+    {
+        return window_ ? window_->bufferedSamples() : 0;
+    }
 
-    /** Spans analysed before finish() (mid-upload progress). */
-    uint64_t spansAnalyzed() const { return spansAnalyzed_; }
+    /** Spans analysed so far (mid-upload progress; finish() adds the
+     *  closing one). */
+    uint64_t
+    spansAnalyzed() const
+    {
+        return window_ ? window_->spansAnalyzed() : 0;
+    }
 
   private:
     bool poison(std::string *error, const std::string &message);
     bool onHeader(std::string *error);
-    void analyzeSpan(uint64_t end, bool is_final);
+    void analyzeSpan(bool closing);
 
     profiler::EmProfConfig config_;
     std::size_t spanSamples_;
     bool honourCaptureClock_;
 
     EmcapStreamDecoder decoder_;
+    std::optional<profiler::SpanWindow> window_; ///< from the header on
     std::optional<profiler::ChunkStitcher> stitcher_;
 
-    std::vector<dsp::Sample> buffer_; ///< [bufferBegin_, +size())
-    uint64_t bufferBegin_ = 0;
-    uint64_t nextBegin_ = 0; ///< first unanalysed global sample
-
-    uint64_t spansAnalyzed_ = 0;
     bool finished_ = false;
     bool poisoned_ = false;
     std::string poisonReason_;

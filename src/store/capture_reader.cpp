@@ -328,15 +328,14 @@ CaptureReader::chunkContaining(uint64_t sample) const
 }
 
 bool
-CaptureReader::decodeChunk(std::size_t i, std::vector<dsp::Sample> &out,
-                           std::string *error) const
+CaptureReader::loadChunk(std::size_t i, std::vector<uint8_t> &stored,
+                         std::string *error) const
 {
-    EMPROF_OBS_STAGE("store.decode_chunk");
     if (!isOpen() || i >= index_.size())
         return fail(error, "chunk index out of range");
     const ChunkIndexEntry &entry = index_[i];
 
-    std::vector<uint8_t> stored(entry.storedBytes);
+    stored.resize(entry.storedBytes);
     if (!preadAt(entry.fileOffset, stored.data(), stored.size(),
                  "chunk body", error))
         return false;
@@ -364,12 +363,22 @@ CaptureReader::decodeChunk(std::size_t i, std::vector<dsp::Sample> &out,
                         info_.codec))
         return fail(error, "chunk " + std::to_string(i) + " " +
                                kTooManySamples);
+    return true;
+}
 
-    out.resize(entry.sampleCount);
-    if (!store::decodeChunk(payload, payload_bytes,
+bool
+CaptureReader::decodeLoaded(std::size_t i,
+                            const std::vector<uint8_t> &stored,
+                            dsp::Sample *out, std::string *error) const
+{
+    const ChunkIndexEntry &entry = index_[i];
+    ChunkHeader header{};
+    std::memcpy(&header, stored.data(), sizeof(header));
+    if (!store::decodeChunk(stored.data() + sizeof(header),
+                            stored.size() - sizeof(header),
                             static_cast<ChunkEncoding>(header.encoding),
-                            info_.codec, header.scale, out.size(),
-                            out.data()))
+                            info_.codec, header.scale, entry.sampleCount,
+                            out))
         return fail(error, "chunk " + std::to_string(i) +
                                " payload malformed");
     if (obs::MetricsRegistry::enabled()) {
@@ -385,6 +394,28 @@ CaptureReader::decodeChunk(std::size_t i, std::vector<dsp::Sample> &out,
         bytes.add(entry.storedBytes);
     }
     return true;
+}
+
+bool
+CaptureReader::decodeChunkInto(std::size_t i, dsp::Sample *out,
+                               std::vector<uint8_t> &stored,
+                               std::string *error) const
+{
+    EMPROF_OBS_STAGE("store.decode_chunk");
+    return loadChunk(i, stored, error) &&
+           decodeLoaded(i, stored, out, error);
+}
+
+bool
+CaptureReader::decodeChunk(std::size_t i, std::vector<dsp::Sample> &out,
+                           std::string *error) const
+{
+    EMPROF_OBS_STAGE("store.decode_chunk");
+    std::vector<uint8_t> stored;
+    if (!loadChunk(i, stored, error))
+        return false;
+    out.resize(index_[i].sampleCount);
+    return decodeLoaded(i, stored, out.data(), error);
 }
 
 bool

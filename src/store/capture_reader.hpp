@@ -7,10 +7,13 @@
  * opening a multi-GB capture is O(chunks), not O(samples).  Chunks are
  * then decoded on demand:
  *
- *  - decodeChunk() checks the chunk's CRC and decodes it — it is
- *    `const` and uses positioned reads (pread), so any number of
- *    threads may decode different chunks of one reader concurrently;
- *    this is what lets ParallelAnalyzer overlap decode with analysis.
+ *  - decodeChunkInto() checks the chunk's CRC and decodes it straight
+ *    into caller memory, through a stored-bytes buffer the caller
+ *    reuses — it is `const` and uses positioned reads (pread), so any
+ *    number of threads may decode different chunks of one reader
+ *    concurrently; this is what lets ParallelAnalyzer's workers decode
+ *    into their own analysis windows.  decodeChunk() is the same
+ *    decode into a vector.
  *  - readRange() seeks straight to the covering chunks via the footer
  *    index: O(1) per lookup plus one decode per touched chunk.
  *  - verify() walks every byte of the file against its CRC and reports
@@ -119,8 +122,21 @@ class CaptureReader
     std::size_t chunkContaining(uint64_t sample) const;
 
     /**
-     * CRC-check and decode chunk @p i into @p out (resized to the
-     * chunk's sample count).  Thread-safe.
+     * CRC-check and decode chunk @p i into @p out, which has room for
+     * chunk(i).sampleCount samples.  The stored bytes are read into
+     * @p stored, a buffer the caller owns and reuses across chunks.
+     * Checks, in order: index/header agreement, CRC, the sample-count
+     * bound (maxChunkSamples), then the decode itself.  Thread-safe
+     * (one @p stored per thread).
+     */
+    bool decodeChunkInto(std::size_t i, dsp::Sample *out,
+                         std::vector<uint8_t> &stored,
+                         std::string *error = nullptr) const;
+
+    /**
+     * decodeChunkInto() into @p out, resized to the chunk's sample
+     * count once every check before the decode has passed.
+     * Thread-safe.
      */
     bool decodeChunk(std::size_t i, std::vector<dsp::Sample> &out,
                      std::string *error = nullptr) const;
@@ -158,6 +174,15 @@ class CaptureReader
 
     /** Read + fully validate the 72-byte file header. */
     bool loadHeader(FileHeader &header, std::string *error);
+
+    /** decodeChunkInto()'s checks: read chunk @p i into @p stored and
+     *  vet it up to (not including) the decode. */
+    bool loadChunk(std::size_t i, std::vector<uint8_t> &stored,
+                   std::string *error) const;
+
+    /** decodeChunkInto()'s decode of a loadChunk()ed chunk. */
+    bool decodeLoaded(std::size_t i, const std::vector<uint8_t> &stored,
+                      dsp::Sample *out, std::string *error) const;
 
     /** Positioned read at @p offset; thread-safe. */
     bool preadAt(uint64_t offset, void *buf, std::size_t len,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 
 #include "obs/metrics.hpp"
@@ -49,7 +50,16 @@ CaptureWriter::open(const std::string &path, const WriterOptions &options)
         return false;
     failed_ = false;
     error_ = common::io::IoError{};
+    // A chunk's sample count, payload and stored size are 32-bit
+    // fields; the payload is at most the raw array (the encoder falls
+    // back to it whenever packing does not win).
+    const std::size_t raw_bytes_per_sample =
+        options.codec == SampleCodec::F32 ? 4 : 2;
+    const std::size_t max_chunk_samples =
+        (std::size_t{UINT32_MAX} - sizeof(ChunkHeader)) /
+        raw_bytes_per_sample;
     if (options.chunkSamples == 0 ||
+        options.chunkSamples > max_chunk_samples ||
         (options.codec == SampleCodec::QuantI16 &&
          (options.quantBits < 2 || options.quantBits > 16)) ||
         (options.codec != SampleCodec::F32 &&

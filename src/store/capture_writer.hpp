@@ -80,7 +80,9 @@ class CaptureWriter
      *
      * @retval false The file could not be created (lastError() has the
      *         typed reason), or the options are unusable (quantBits
-     *         outside 2..16, chunkSamples 0).
+     *         outside 2..16, chunkSamples 0, or a chunk whose raw
+     *         payload plus its 20-byte header passes 4 GiB, which the
+     *         32-bit chunk fields cannot record).
      */
     bool open(const std::string &path, const WriterOptions &options);
 

@@ -84,9 +84,32 @@ makeSignal(std::size_t n, uint32_t seed)
     return x;
 }
 
+/**
+ * Chunk events are classified where the kernels emit them: every
+ * classification field must be classifyStall() of the raw dip.
+ */
+void
+expectClassifiedAtEmission(const ChunkResult &r, const EmProfConfig &config)
+{
+    for (std::size_t i = 0; i < r.events.size(); ++i) {
+        const StallEvent &ev = r.events[i];
+        StallEvent raw;
+        raw.startSample = ev.startSample;
+        raw.endSample = ev.endSample;
+        raw.depth = ev.depth;
+        classifyStall(raw, config);
+        EXPECT_EQ(ev.durationNs, raw.durationNs) << "event " << i;
+        EXPECT_EQ(ev.stallCycles, raw.stallCycles) << "event " << i;
+        EXPECT_EQ(ev.kind, raw.kind) << "event " << i;
+        EXPECT_EQ(ev.level, raw.level) << "event " << i;
+        EXPECT_EQ(ev.levelConfidence, raw.levelConfidence)
+            << "event " << i;
+    }
+}
+
 void
 expectSameResult(const ChunkResult &a, const ChunkResult &b,
-                 const std::string &what)
+                 const EmProfConfig &config, const std::string &what)
 {
     SCOPED_TRACE(what);
     EXPECT_EQ(a.begin, b.begin);
@@ -103,7 +126,18 @@ expectSameResult(const ChunkResult &a, const ChunkResult &b,
         EXPECT_EQ(a.events[i].endSample, b.events[i].endSample)
             << "event " << i;
         EXPECT_EQ(a.events[i].depth, b.events[i].depth) << "event " << i;
+        EXPECT_EQ(a.events[i].durationNs, b.events[i].durationNs)
+            << "event " << i;
+        EXPECT_EQ(a.events[i].stallCycles, b.events[i].stallCycles)
+            << "event " << i;
+        EXPECT_EQ(a.events[i].kind, b.events[i].kind) << "event " << i;
+        EXPECT_EQ(a.events[i].level, b.events[i].level) << "event " << i;
+        EXPECT_EQ(a.events[i].levelConfidence,
+                  b.events[i].levelConfidence)
+            << "event " << i;
     }
+    expectClassifiedAtEmission(a, config);
+    expectClassifiedAtEmission(b, config);
 
     EXPECT_EQ(a.open.inDip, b.open.inDip);
     EXPECT_EQ(a.open.start, b.open.start);
@@ -139,7 +173,7 @@ compareChunk(const std::vector<dsp::Sample> &x, uint64_t begin,
         x.data(), 0, begin, end, is_final, config);
     const ChunkResult simd = detail::analyzeChunkBatchAvx2(
         x.data(), 0, begin, end, is_final, config, /*fastMath=*/false);
-    expectSameResult(ref, simd, what);
+    expectSameResult(ref, simd, config, what);
 }
 
 TEST(BatchPipeline, ClassicChunkBitParityAcrossWindows)
@@ -244,9 +278,24 @@ TEST(BatchPipeline, AutoDispatchMatchesExplicitKernel)
         analyzeChunkAuto(x.data(), 0, 500, 3500, false, config);
     const ChunkResult simd = detail::analyzeChunkBatchAvx2(
         x.data(), 0, 500, 3500, false, config, false);
-    expectSameResult(autoR, simd, "auto vs explicit");
+    expectSameResult(autoR, simd, config, "auto vs explicit");
 }
 #endif // !EMPROF_DISABLE_SIMD
+
+TEST(BatchPipeline, StreamingChunkClassifiesAtEmission)
+{
+    // Runs on every build flavour (the AVX2 kernel is held to the same
+    // rule by expectSameResult).
+    const auto x = makeSignal(6000, 0xc1a5);
+    for (const bool resilient : {false, true}) {
+        EmProfConfig config = configWithWindow(64);
+        config.signal.enabled = resilient;
+        const ChunkResult r = detail::analyzeChunkStreaming(
+            x.data(), 0, 1000, 5000, false, config);
+        ASSERT_FALSE(r.events.empty());
+        expectClassifiedAtEmission(r, config);
+    }
+}
 
 TEST(BatchPipeline, ParallelMatchesStreamingEndToEnd)
 {

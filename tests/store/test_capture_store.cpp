@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -435,6 +436,48 @@ TEST(CaptureStore, WriterRejectsUnusableOptions)
     EXPECT_TRUE(writer.open(path, opt));
     EXPECT_TRUE(writer.finalize());
     std::remove(path.c_str());
+}
+
+TEST(CaptureStore, WriterRejectsChunksItsHeaderFieldsCannotRecord)
+{
+    // sampleCount, payloadBytes and storedBytes are 32-bit.  The first
+    // chunk length whose raw payload (4 B/sample for F32, 2 for
+    // QuantI16) plus the 20-byte chunk header passes UINT32_MAX must
+    // fail open() before the chunk buffer is reserved or the file is
+    // created, not be written with truncated fields.
+    struct Case
+    {
+        SampleCodec codec;
+        uint64_t bytesPerSample;
+        std::size_t firstTooLarge;
+    };
+    for (const Case c : {Case{SampleCodec::F32, 4, 1073741819u},
+                         Case{SampleCodec::QuantI16, 2, 2147483638u}}) {
+        SCOPED_TRACE(static_cast<int>(c.codec));
+        ASSERT_GT(sizeof(ChunkHeader) + c.firstTooLarge * c.bytesPerSample,
+                  uint64_t{UINT32_MAX});
+        ASSERT_LE(sizeof(ChunkHeader) +
+                      (c.firstTooLarge - 1) * c.bytesPerSample,
+                  uint64_t{UINT32_MAX});
+
+        const auto path = tempPath("huge_chunk.emcap");
+        std::remove(path.c_str());
+        auto opt = baseOptions(c.firstTooLarge);
+        opt.codec = c.codec;
+        CaptureWriter writer;
+        EXPECT_FALSE(writer.open(path, opt));
+        EXPECT_FALSE(writer.isOpen());
+        EXPECT_NE(writer.lastError().describe().find(
+                      "unusable writer options"),
+                  std::string::npos)
+            << writer.lastError().describe();
+        std::FILE *f = std::fopen(path.c_str(), "rb");
+        EXPECT_EQ(f, nullptr) << "open() created the file";
+        if (f != nullptr) {
+            std::fclose(f);
+            std::remove(path.c_str());
+        }
+    }
 }
 
 TEST(CaptureStore, DeviceNameIsTruncatedNotOverflowed)

@@ -4,19 +4,24 @@
  * analyzeCapture must produce events bit-identical to loading the same
  * samples into memory and running the streaming analyzer — for any
  * stored chunk size and thread count, including stored chunks much
- * smaller than the analysis spans.
+ * smaller than the analysis spans.  The AutoDecomposition tests run the
+ * automatic per-worker span windows emprof_analyze uses, with several
+ * spans per worker range.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
 #include "dsp/rng.hpp"
+#include "obs/metrics.hpp"
 #include "profiler/parallel_analyzer.hpp"
 #include "profiler/profiler.hpp"
 #include "store/capture_reader.hpp"
 #include "store/capture_writer.hpp"
+#include "store/emcap_format.hpp"
 
 namespace emprof::profiler {
 namespace {
@@ -63,6 +68,59 @@ expectIdentical(const ProfileResult &a, const ProfileResult &b)
         EXPECT_EQ(a.events[i].kind, b.events[i].kind);
     }
     EXPECT_EQ(a.report.totalEvents, b.report.totalEvents);
+}
+
+/** Every event field and every report field, percentiles included. */
+void
+expectBitIdentical(const ProfileResult &a, const ProfileResult &b)
+{
+    ASSERT_EQ(a.events.size(), b.events.size());
+    for (std::size_t i = 0; i < b.events.size(); ++i) {
+        const StallEvent &x = a.events[i];
+        const StallEvent &y = b.events[i];
+        EXPECT_EQ(x.startSample, y.startSample) << "event " << i;
+        EXPECT_EQ(x.endSample, y.endSample) << "event " << i;
+        EXPECT_EQ(x.depth, y.depth) << "event " << i;
+        EXPECT_EQ(x.durationNs, y.durationNs) << "event " << i;
+        EXPECT_EQ(x.stallCycles, y.stallCycles) << "event " << i;
+        EXPECT_EQ(x.confidence, y.confidence) << "event " << i;
+        EXPECT_EQ(x.kind, y.kind) << "event " << i;
+        EXPECT_EQ(x.level, y.level) << "event " << i;
+        EXPECT_EQ(x.levelConfidence, y.levelConfidence) << "event " << i;
+    }
+    const ProfileReport &p = a.report;
+    const ProfileReport &q = b.report;
+    EXPECT_EQ(p.totalEvents, q.totalEvents);
+    EXPECT_EQ(p.missEvents, q.missEvents);
+    EXPECT_EQ(p.refreshEvents, q.refreshEvents);
+    EXPECT_EQ(p.durationSeconds, q.durationSeconds);
+    EXPECT_EQ(p.executionCycles, q.executionCycles);
+    EXPECT_EQ(p.totalStallCycles, q.totalStallCycles);
+    EXPECT_EQ(p.stallPercent, q.stallPercent);
+    EXPECT_EQ(p.avgStallCycles, q.avgStallCycles);
+    EXPECT_EQ(p.medianStallCycles, q.medianStallCycles);
+    EXPECT_EQ(p.p95StallCycles, q.p95StallCycles);
+    EXPECT_EQ(p.p99StallCycles, q.p99StallCycles);
+    EXPECT_EQ(p.maxStallCycles, q.maxStallCycles);
+    EXPECT_EQ(p.missesPerMillionCycles, q.missesPerMillionCycles);
+    for (std::size_t l = 0; l < kServiceLevelCount; ++l) {
+        EXPECT_EQ(p.levelEvents[l], q.levelEvents[l]) << "level " << l;
+        EXPECT_EQ(p.levelStallCycles[l], q.levelStallCycles[l])
+            << "level " << l;
+    }
+    EXPECT_EQ(p.meanLevelConfidence, q.meanLevelConfidence);
+    EXPECT_EQ(p.quality.enabled, q.quality.enabled);
+    EXPECT_EQ(p.quality.totalBlocks, q.quality.totalBlocks);
+    EXPECT_EQ(p.quality.cleanBlocks, q.quality.cleanBlocks);
+    EXPECT_EQ(p.quality.degradedBlocks, q.quality.degradedBlocks);
+    EXPECT_EQ(p.quality.unusableBlocks, q.quality.unusableBlocks);
+    EXPECT_EQ(p.quality.quarantinedClipping, q.quality.quarantinedClipping);
+    EXPECT_EQ(p.quality.quarantinedDropout, q.quality.quarantinedDropout);
+    EXPECT_EQ(p.quality.quarantinedLowSnr, q.quality.quarantinedLowSnr);
+    EXPECT_EQ(p.quality.eventsDropped, q.quality.eventsDropped);
+    EXPECT_EQ(p.quality.coverageFraction, q.quality.coverageFraction);
+    EXPECT_EQ(p.quality.meanConfidence, q.quality.meanConfidence);
+    EXPECT_EQ(p.toText(), q.toText());
 }
 
 std::string
@@ -174,6 +232,117 @@ TEST(StoreAnalyzer, CorruptChunkFailsAnalysisWithError)
     EXPECT_FALSE(analyzeCaptureParallel(reader, testConfig(), result,
                                         pcfg, &error));
     EXPECT_FALSE(error.empty());
+    std::remove(path.c_str());
+}
+
+/**
+ * Automatic-decomposition geometry.  With the 800-sample test window a
+ * span is store::kDefaultChunkSamples (65536) samples; at 1.6 M samples
+ * every worker range holds at least three spans at 1, 2 and 4 threads
+ * for each stored chunk size the tests use (3000, 65536, 100000).
+ */
+constexpr std::size_t kAutoSamples = 1600000;
+
+ParallelAnalyzerConfig
+autoConfig(std::size_t threads)
+{
+    ParallelAnalyzerConfig pcfg;
+    pcfg.threads = threads;
+    pcfg.minParallelSamples = std::size_t{1} << 16;
+    return pcfg;
+}
+
+TEST(StoreAnalyzer, AutoDecompositionMatchesStreamingBitForBit)
+{
+    const auto sig = busySignalWithDips(kAutoSamples, 5);
+    ASSERT_EQ(std::max(store::kDefaultChunkSamples,
+                       8 * testConfig().normWindowSamples()),
+              std::size_t{65536});
+
+    auto &registry = obs::MetricsRegistry::instance();
+    struct MetricsOn
+    {
+        MetricsOn() { obs::MetricsRegistry::setEnabled(true); }
+        ~MetricsOn() { obs::MetricsRegistry::setEnabled(false); }
+    } metrics_on;
+    for (const bool resilient : {false, true}) {
+        EmProfConfig config = testConfig();
+        config.signal.enabled = resilient;
+        const ProfileResult reference = EmProf::analyze(sig, config);
+
+        // Stored chunks smaller than a span and not dividing it, equal
+        // to it, and larger than it.
+        for (const std::size_t stored :
+             {std::size_t{3000}, std::size_t{65536}, std::size_t{100000}}) {
+            const auto path = writeEmcap(sig, "auto.emcap", stored);
+            store::CaptureReader reader;
+            std::string error;
+            ASSERT_TRUE(reader.open(path, &error)) << error;
+            for (const std::size_t threads :
+                 {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+                SCOPED_TRACE(::testing::Message()
+                             << (resilient ? "resilient" : "classic")
+                             << " stored=" << stored
+                             << " threads=" << threads);
+                registry.resetValues();
+                ProfileResult result;
+                ASSERT_TRUE(analyzeCaptureParallel(reader, config, result,
+                                                   autoConfig(threads),
+                                                   &error))
+                    << error;
+                expectBitIdentical(result, reference);
+
+                // The windowed path ran (it is skipped only by the
+                // scalar single-worker fallback), several spans deep.
+                const auto snap = registry.scrape();
+                const auto ranges = snap.gauges.find("parallel.chunks");
+                if (ranges == snap.gauges.end())
+                    continue;
+                const auto spans =
+                    snap.counters.find("analyzer.chunks_analyzed");
+                ASSERT_NE(spans, snap.counters.end());
+                EXPECT_GE(spans->second,
+                          3 * static_cast<uint64_t>(ranges->second));
+            }
+            std::remove(path.c_str());
+        }
+    }
+}
+
+TEST(StoreAnalyzer, AutoDecompositionCorruptChunkInSecondRangeIsNamed)
+{
+    const auto sig = busySignalWithDips(kAutoSamples, 6);
+    const auto path = writeEmcap(sig, "corrupt_auto.emcap", 65536);
+    std::size_t bad = 0;
+    {
+        // Two workers split at the first stored chunk ending at or
+        // past n/2; a chunk at 3n/4 lies inside the second range.
+        store::CaptureReader reader;
+        std::string error;
+        ASSERT_TRUE(reader.open(path, &error)) << error;
+        bad = reader.chunkContaining(3 * kAutoSamples / 4);
+        ASSERT_GT(reader.chunk(bad).firstSample, kAutoSamples / 2 + 65536);
+        std::FILE *f = std::fopen(path.c_str(), "r+b");
+        ASSERT_NE(f, nullptr);
+        const long at = static_cast<long>(reader.chunk(bad).fileOffset +
+                                          sizeof(store::ChunkHeader) + 100);
+        ASSERT_EQ(std::fseek(f, at, SEEK_SET), 0);
+        const int c = std::fgetc(f);
+        ASSERT_NE(c, EOF);
+        ASSERT_EQ(std::fseek(f, at, SEEK_SET), 0);
+        std::fputc(c ^ 0xFF, f);
+        std::fclose(f);
+    }
+
+    store::CaptureReader reader;
+    std::string error;
+    ASSERT_TRUE(reader.open(path, &error)) << error;
+    ProfileResult result;
+    EXPECT_FALSE(analyzeCaptureParallel(reader, testConfig(), result,
+                                        autoConfig(2), &error));
+    EXPECT_NE(error.find("chunk " + std::to_string(bad) + " "),
+              std::string::npos)
+        << error;
     std::remove(path.c_str());
 }
 

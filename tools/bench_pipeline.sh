@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Build and run the end-to-end pipeline throughput benchmarks, leaving
 # BENCH_pipeline.json, BENCH_impair.json and BENCH_serve.json in the
-# repository root so the streaming vs. parallel perf trajectory — plus
-# the resilience layer's overhead and the served path's disconnect
-# resilience — are tracked across PRs.
+# repository root so the streaming vs. parallel vs. offline EMCAP perf
+# trajectory — plus the resilience layer's overhead and the served
+# path's disconnect resilience — are tracked across PRs.
 #
 #   tools/bench_pipeline.sh [--samples N] [--runs N]
 #
