@@ -16,6 +16,7 @@
 #include "dsp/moving_stats.hpp"
 #include "dsp/rng.hpp"
 #include "em/capture.hpp"
+#include "profiler/normalizer.hpp"
 #include "profiler/profiler.hpp"
 
 using namespace emprof;
@@ -82,21 +83,20 @@ BM_Normalizer(benchmark::State &state)
 BENCHMARK(BM_Normalizer);
 
 void
-BM_FullEmprofPush(benchmark::State &state)
+BM_EmProfAnalyze(benchmark::State &state)
 {
-    const auto input = noisySignal(1 << 16);
-    profiler::EmProfConfig cfg;
-    cfg.sampleRateHz = 160e6;
-    profiler::EmProf prof(cfg);
+    dsp::TimeSeries input;
+    input.sampleRateHz = 160e6;
+    input.samples = noisySignal(1 << 16);
+    const profiler::EmProfConfig cfg;
     for (auto _ : state) {
-        for (float x : input)
-            prof.push(x);
-        benchmark::DoNotOptimize(prof.samplesSeen());
+        const auto result = profiler::EmProf::analyze(input, cfg);
+        benchmark::DoNotOptimize(result.events.size());
     }
     state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(input.size()));
+                            static_cast<int64_t>(input.samples.size()));
 }
-BENCHMARK(BM_FullEmprofPush);
+BENCHMARK(BM_EmProfAnalyze);
 
 void
 BM_DecimatingFirComplex(benchmark::State &state)

@@ -8,8 +8,9 @@
  * samples/s for three modes:
  *
  *  - `streaming`: EmProf::analyze on the in-memory series;
- *  - `parallel`: in-memory ParallelAnalyzer::analyze at 1/2/4/8
- *    threads (the batch kernel times the workers);
+ *  - `parallel`: in-memory analyzeParallel at 1/2/4/8 threads (the
+ *    batch kernel times the workers, each running its range in
+ *    served-size spans);
  *  - `emcap`: the same series written once through CaptureWriter's
  *    default codec to a temporary file, then CaptureReader::open +
  *    analyzeCaptureParallel at 1/2/4/8 threads — what emprof_analyze

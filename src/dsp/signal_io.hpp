@@ -4,7 +4,7 @@
  *
  * EMPROF is a signal-processing tool: to apply it to a *real* capture
  * (an SDR recording of an actual device) the magnitude or IQ samples
- * just need to reach EmProf::push.  This module defines a minimal
+ * just need to reach EmProf::analyze.  This module defines a minimal
  * container — magic, version, sample rate, payload kind, raw float32
  * samples, little-endian — plus raw-f32 and CSV import/export, so the
  * tools in tools/ can exchange signals with GNU Radio-style pipelines.

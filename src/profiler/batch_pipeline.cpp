@@ -28,7 +28,7 @@ batchPipelineActive()
 ChunkResult
 analyzeChunkAuto(const dsp::Sample *data, uint64_t dataBegin,
                  uint64_t begin, uint64_t end, bool is_final,
-                 const EmProfConfig &config, bool fastMath)
+                 const EmProfConfig &config)
 {
     // Per-worker chunk timing: the span carries the worker's thread
     // number, the stage histogram aggregates the distribution.
@@ -46,10 +46,8 @@ analyzeChunkAuto(const dsp::Sample *data, uint64_t dataBegin,
 #if !defined(EMPROF_DISABLE_SIMD)
     if (batchPipelineActive())
         return detail::analyzeChunkBatchAvx2(data, dataBegin, begin,
-                                             end, is_final, config,
-                                             fastMath);
+                                             end, is_final, config);
 #endif
-    (void)fastMath;
     return detail::analyzeChunkStreaming(data, dataBegin, begin, end,
                                          is_final, config);
 }
@@ -70,18 +68,22 @@ analyzeChunkStreaming(const dsp::Sample *data, uint64_t dataBegin,
     r.begin = begin;
     r.end = end;
 
-    const std::size_t window = config.normWindowSamples();
     const bool resilient = config.signal.enabled;
     const uint64_t halo = std::min<uint64_t>(begin, config.haloSamples());
     const auto at = [&](uint64_t i) {
         return data[static_cast<std::size_t>(i - dataBegin)];
     };
+    // A window longer than the samples this call sees holds them all
+    // either way (see file comment of batch_pipeline.hpp).
+    const std::size_t window = static_cast<std::size_t>(
+        std::min<uint64_t>(config.normWindowSamples(), end - begin + halo));
 
-    // Warm whichever normaliser this config uses by re-feeding the
-    // halo: both are pure functions of a bounded trailing history
-    // (haloSamples() covers it), so the values from `begin` on are
-    // bit-identical to streaming.
-    MovingMinMaxNormalizer classic(window, config.minContrast);
+    // Warm the normaliser this config uses (the other is sized to one
+    // sample) by re-feeding the halo: both are pure functions of a
+    // bounded trailing history (haloSamples() covers it), so the values
+    // from `begin` on are bit-identical to streaming.
+    MovingMinMaxNormalizer classic(resilient ? 1 : window,
+                                   config.minContrast);
     AdaptiveNormalizer adaptive(
         resilient ? window : 1, resilient ? config.smootherSamples() : 1,
         config.signal.driftToleranceFraction > 0.0

@@ -1,15 +1,16 @@
 /**
  * @file
- * Per-chunk batch analysis: the vectorised envelope -> normalise ->
- * dip-detect hot path behind the parallel analyzer.
+ * Per-span analysis: envelope -> normalise -> dip-detect over one span
+ * of samples, the unit every analysis path (EmProf::analyze, the
+ * parallel analyzer's workers, a served session's SpanWindow) is built
+ * from.
  *
- * A chunk is the unit of parallel work: samples [begin, end) plus a
- * halo of preceding samples that warms the normaliser.  Two
- * implementations produce a ChunkResult:
+ * A span is samples [begin, end) plus a halo of preceding samples that
+ * warms the normaliser.  Two implementations produce a ChunkResult:
  *
- *  - analyzeChunkStreaming — the reference: a fresh streaming
- *    normaliser + dip detector fed sample by sample.  This is the
- *    scalar fallback and the semantics oracle; every other path is
+ *  - analyzeChunkStreaming — the scalar reference: a fresh streaming
+ *    normaliser + dip detector fed sample by sample.  EmProf::analyze
+ *    runs it over the whole signal as one span; every other path is
  *    defined as "bit-identical to this for finite inputs".
  *  - analyzeChunkBatchAvx2 — the AVX2 kernel (compiled only without
  *    EMPROF_DISABLE_SIMD).  Envelope extrema come from a vectorised
@@ -31,17 +32,15 @@
  * (same caveat as dsp::slidingMinMaxBatch); no capture format produces
  * NaN magnitudes.
  *
+ * Memory: both size their envelope tables by min(normalisation window,
+ * samples the call sees), so a short input costs what it holds however
+ * high the declared sample rate.  A call that sees at most one window
+ * of samples is a single envelope block either way, so the sizing does
+ * not change any output.
+ *
  * analyzeChunkAuto dispatches: AVX2 kernel when compiled in, the CPU
  * has AVX2 and EMPROF_SIMD does not force "scalar"; the streaming
  * reference otherwise.
- *
- * fastMath (opt-in, --fast-math-simd): the classic kernel's exact-path
- * normalisation runs in single precision (8-wide float divide) instead
- * of double.  Normalised values then differ from the reference by at
- * most ~2 float ULP (relative ~2.4e-7), so a sample whose normalised
- * value lies within that margin of the enter/exit threshold can flip a
- * dip boundary by one sample.  The resilient kernel ignores the flag
- * (its log-grid snap is already the cost centre, not the divide).
  */
 
 #ifndef EMPROF_PROFILER_BATCH_PIPELINE_HPP
@@ -79,20 +78,18 @@ struct ChunkResult
 bool batchPipelineActive();
 
 /**
- * Analyse samples [begin, end) of a chunk; dispatches to the AVX2
+ * Analyse samples [begin, end) of a span; dispatches to the AVX2
  * batch kernel or the streaming reference (see file comment).
  *
  * @param data Sample storage; data[i - dataBegin] is global sample i.
  *        Must cover at least [begin - halo, end), where the halo is
  *        min(begin, config.haloSamples()).
- * @param is_final True for the last chunk, which additionally owns the
+ * @param is_final True for the last span, which additionally owns the
  *        trailing partial quality block.
- * @param fastMath Allow the reduced-precision normalise (see above).
  */
 ChunkResult analyzeChunkAuto(const dsp::Sample *data, uint64_t dataBegin,
                              uint64_t begin, uint64_t end, bool is_final,
-                             const EmProfConfig &config,
-                             bool fastMath = false);
+                             const EmProfConfig &config);
 
 namespace detail {
 
@@ -108,8 +105,7 @@ ChunkResult analyzeChunkStreaming(const dsp::Sample *data,
 ChunkResult analyzeChunkBatchAvx2(const dsp::Sample *data,
                                   uint64_t dataBegin, uint64_t begin,
                                   uint64_t end, bool is_final,
-                                  const EmProfConfig &config,
-                                  bool fastMath);
+                                  const EmProfConfig &config);
 #endif
 
 } // namespace detail

@@ -220,8 +220,7 @@ void
 classicForwardBlock(const float *xb, uint64_t B, std::size_t len,
                     bool first, const float *sprevMin,
                     const float *sprevMax, float threshf,
-                    uint64_t emitFrom, double minContrast, bool fastMath,
-                    Emitter &em)
+                    uint64_t emitFrom, double minContrast, Emitter &em)
 {
     const __m256 inf8 = _mm256_set1_ps(kInfF);
     const __m256 ninf8 = _mm256_set1_ps(-kInfF);
@@ -277,51 +276,25 @@ classicForwardBlock(const float *xb, uint64_t B, std::size_t len,
             hi = _mm256_max_ps(_mm256_loadu_ps(sprevMax + i + 1), pmax);
         }
 
+        // Double precision, the streaming operation sequence:
+        // range = hi-lo; gate = hi<=0 || range < minContrast*hi;
+        // clamp((v-lo)/range, 0, 1).  max(0,x)/min(1,x) reproduce
+        // std::clamp bit for bit (including the NaN pass-through).
         double nb[8];
-        if (fastMath) {
-            // Opt-in reduced precision: float divide, <= ~2 float ULP
-            // from the double reference (see batch_pipeline.hpp).
-            const __m256 zf = _mm256_setzero_ps();
-            const __m256 onef = _mm256_set1_ps(1.0f);
-            const __m256 mincf =
-                _mm256_set1_ps(static_cast<float>(minContrast));
-            const __m256 rangef = _mm256_sub_ps(hi, lo);
-            const __m256 gate = _mm256_or_ps(
-                _mm256_cmp_ps(hi, zf, _CMP_LE_OQ),
-                _mm256_cmp_ps(rangef, _mm256_mul_ps(mincf, hi),
+        for (int h = 0; h < 2; ++h) {
+            const __m256d lod = h == 0 ? Lanes::cvt_lo(lo) : Lanes::cvt_hi(lo);
+            const __m256d hid = h == 0 ? Lanes::cvt_lo(hi) : Lanes::cvt_hi(hi);
+            const __m256d vd = h == 0 ? Lanes::cvt_lo(v) : Lanes::cvt_hi(v);
+            const __m256d range = _mm256_sub_pd(hid, lod);
+            const __m256d gate = _mm256_or_pd(
+                _mm256_cmp_pd(hid, zero4, _CMP_LE_OQ),
+                _mm256_cmp_pd(range, _mm256_mul_pd(minc4, hid),
                               _CMP_LT_OQ));
-            __m256 nf = _mm256_div_ps(_mm256_sub_ps(v, lo), rangef);
-            nf = _mm256_max_ps(zf, nf);
-            nf = _mm256_min_ps(onef, nf);
-            nf = _mm256_blendv_ps(nf, onef, gate);
-            float tmp[8];
-            _mm256_storeu_ps(tmp, nf);
-            for (int k = 0; k < 8; ++k)
-                nb[k] = tmp[k];
-        } else {
-            // Double precision, the streaming operation sequence:
-            // range = hi-lo; gate = hi<=0 || range < minContrast*hi;
-            // clamp((v-lo)/range, 0, 1).  max(0,x)/min(1,x) reproduce
-            // std::clamp bit for bit (including the NaN pass-through).
-            for (int h = 0; h < 2; ++h) {
-                const __m256d lod =
-                    h == 0 ? Lanes::cvt_lo(lo) : Lanes::cvt_hi(lo);
-                const __m256d hid =
-                    h == 0 ? Lanes::cvt_lo(hi) : Lanes::cvt_hi(hi);
-                const __m256d vd =
-                    h == 0 ? Lanes::cvt_lo(v) : Lanes::cvt_hi(v);
-                const __m256d range = _mm256_sub_pd(hid, lod);
-                const __m256d gate = _mm256_or_pd(
-                    _mm256_cmp_pd(hid, zero4, _CMP_LE_OQ),
-                    _mm256_cmp_pd(range, _mm256_mul_pd(minc4, hid),
-                                  _CMP_LT_OQ));
-                __m256d nv =
-                    _mm256_div_pd(_mm256_sub_pd(vd, lod), range);
-                nv = _mm256_max_pd(zero4, nv);
-                nv = _mm256_min_pd(one4, nv);
-                nv = _mm256_blendv_pd(nv, one4, gate);
-                _mm256_storeu_pd(nb + 4 * h, nv);
-            }
+            __m256d nv = _mm256_div_pd(_mm256_sub_pd(vd, lod), range);
+            nv = _mm256_max_pd(zero4, nv);
+            nv = _mm256_min_pd(one4, nv);
+            nv = _mm256_blendv_pd(nv, one4, gate);
+            _mm256_storeu_pd(nb + 4 * h, nv);
         }
         if (prefixDone && g >= emitFrom) {
             for (int k = 0; k < 8; ++k)
@@ -340,7 +313,7 @@ classicForwardBlock(const float *xb, uint64_t B, std::size_t len,
     em.cur = c;
 
     // Scalar tail (len % 8): continue the prefix fold from the vector
-    // carry; exact double normalisation in both precision modes.
+    // carry; exact double normalisation.
     float sm = Lanes::f8_hmin(accMin);
     float sM = Lanes::f8_hmax(accMax);
     for (; i < len; ++i) {
@@ -373,16 +346,19 @@ classicForwardBlock(const float *xb, uint64_t B, std::size_t len,
 /** Classic kernel over the chunk's whole virtual stream x[0..N). */
 void
 classicKernel(const float *x, std::size_t N, uint64_t emitFrom,
-              const EmProfConfig &config, bool fastMath, Emitter &em)
+              const EmProfConfig &config, Emitter &em)
 {
     const std::size_t w =
         std::max<std::size_t>(config.normWindowSamples(), 1);
 
     // Previous/current block suffix tables with a +/-inf sentinel at
     // [w] (handles the prefix-only output branch-free) and slack lanes
-    // for unmasked vector loads.
-    std::vector<float> bufMinA(w + 8, kInfF), bufMaxA(w + 8, -kInfF);
-    std::vector<float> bufMinB(w + 8, kInfF), bufMaxB(w + 8, -kInfF);
+    // for unmasked vector loads.  A stream of at most one window is a
+    // single block that never reads a previous table, so the tables
+    // need only min(w, N) entries.
+    const std::size_t table = std::min(w, N) + 8;
+    std::vector<float> bufMinA(table, kInfF), bufMaxA(table, -kInfF);
+    std::vector<float> bufMinB(table, kInfF), bufMaxB(table, -kInfF);
     float *sprevMin = bufMinA.data();
     float *sprevMax = bufMaxA.data();
     float *scurMin = bufMinB.data();
@@ -413,7 +389,7 @@ classicKernel(const float *x, std::size_t N, uint64_t emitFrom,
             EMPROF_OBS_STAGE("analyze.detect");
             classicForwardBlock(x + B, B, len, b == 0, sprevMin,
                                 sprevMax, threshf, emitFrom,
-                                config.minContrast, fastMath, em);
+                                config.minContrast, em);
         }
         std::swap(sprevMin, scurMin);
         std::swap(sprevMax, scurMax);
@@ -464,11 +440,15 @@ resilientKernel(const float *x, std::size_t N, uint64_t emitFrom,
     // The raw samples are widened to double on the fly (float->double
     // is exact, so converting at use matches staging bit for bit and
     // saves a full store+reload pass over the block); only the
-    // smoothed block needs a buffer.
-    std::vector<double> smBuf(w + 8, 0.0);
+    // smoothed block needs a buffer.  Tables are sized as in
+    // classicKernel: one block's worth, at most the stream.
+    const std::size_t table = std::min(w, N);
+    std::vector<double> smBuf(table + 8, 0.0);
     double *sm = smBuf.data();
-    std::vector<double> sufMinA(w + 4, kInfD), sufMaxA(w + 4, -kInfD);
-    std::vector<double> sufMinB(w + 4, kInfD), sufMaxB(w + 4, -kInfD);
+    std::vector<double> sufMinA(table + 4, kInfD);
+    std::vector<double> sufMaxA(table + 4, -kInfD);
+    std::vector<double> sufMinB(table + 4, kInfD);
+    std::vector<double> sufMaxB(table + 4, -kInfD);
     double *sprevMin = sufMinA.data();
     double *sprevMax = sufMaxA.data();
     double *scurMin = sufMinB.data();
@@ -794,7 +774,7 @@ statsBlock(const float *xb, uint64_t bs, uint64_t be,
 ChunkResult
 analyzeChunkBatchAvx2(const dsp::Sample *data, uint64_t dataBegin,
                       uint64_t begin, uint64_t end, bool is_final,
-                      const EmProfConfig &config, bool fastMath)
+                      const EmProfConfig &config)
 {
     ChunkResult r;
     r.begin = begin;
@@ -829,7 +809,7 @@ analyzeChunkBatchAvx2(const dsp::Sample *data, uint64_t dataBegin,
             }
         }
     } else {
-        classicKernel(x, N, halo, config, fastMath, em);
+        classicKernel(x, N, halo, config, em);
     }
 
     r.open = em.state();

@@ -21,7 +21,7 @@ namespace {
 
 /**
  * Worker count actually used: the requested count (0 = all cores)
- * clamped to the hardware concurrency.  The per-chunk scan is purely
+ * clamped to the hardware concurrency.  The per-span scan is purely
  * CPU-bound, so oversubscription only adds scheduling contention;
  * requests beyond the core count degrade gracefully to it.
  */
@@ -35,8 +35,8 @@ effectiveWorkers(std::size_t requested)
 
 /** Expose the effective parallel decomposition as gauges. */
 void
-recordParallelGauges(std::size_t workers, std::size_t chunk,
-                     std::size_t num_chunks)
+recordParallelGauges(std::size_t workers, std::size_t span,
+                     std::size_t ranges)
 {
     if (!obs::MetricsRegistry::enabled())
         return;
@@ -44,33 +44,39 @@ recordParallelGauges(std::size_t workers, std::size_t chunk,
     registry.gauge("parallel.workers_effective")
         .set(static_cast<int64_t>(workers));
     registry.gauge("parallel.chunk_samples_effective")
-        .set(static_cast<int64_t>(chunk));
+        .set(static_cast<int64_t>(span));
     registry.gauge("parallel.chunks")
-        .set(static_cast<int64_t>(num_chunks));
+        .set(static_cast<int64_t>(ranges));
     registry.gauge("parallel.batch_kernel")
         .set(batchPipelineActive() ? 1 : 0);
 }
 
 /**
- * Sequential tail shared by both parallel paths: feed the pool-ordered
- * chunk results through the incremental stitcher (see stitch.hpp),
- * with the event list sized once up front, then quarantine / report.
- * The serving path drives the same ChunkStitcher one chunk at a time as
- * uploads arrive.
+ * The one decomposition: one contiguous range of [0, n) per effective
+ * worker, each of at least one span (so no range spends more on its
+ * halo than on its own samples) and ending at the first cut at or past
+ * its target; @p cutAt(x) returns the first permitted range end >= x.
  */
-ProfileResult
-finalizeChunks(const std::vector<ChunkResult> &chunks,
-               const EmProfConfig &config, uint64_t total_samples)
+struct Range
 {
-    EMPROF_OBS_STAGE("analyze.stitch");
-    ChunkStitcher stitcher(config);
-    std::size_t events = 0;
-    for (const auto &chunk : chunks)
-        events += chunk.events.size() + 1;
-    stitcher.reserveEvents(events);
-    for (const auto &chunk : chunks)
-        stitcher.feed(chunk);
-    return stitcher.finalize(total_samples);
+    uint64_t begin;
+    uint64_t end;
+};
+
+template <class CutAt>
+std::vector<Range>
+planRanges(uint64_t n, std::size_t workers, std::size_t span,
+           const CutAt &cutAt)
+{
+    const uint64_t target =
+        std::max<uint64_t>(span, (n + workers - 1) / workers);
+    std::vector<Range> ranges;
+    for (uint64_t begin = 0; begin < n;) {
+        const uint64_t end = cutAt(std::min(n, begin + target));
+        ranges.push_back({begin, end});
+        begin = end;
+    }
+    return ranges;
 }
 
 /** Run @p run(0..count) on up to @p workers pool threads (inline on
@@ -93,66 +99,75 @@ runTasks(std::size_t workers, std::size_t count, const Run &run)
         f.get();
 }
 
+/**
+ * Sequential tail: feed every range's span results, in range order,
+ * through the incremental stitcher (see stitch.hpp), with the event
+ * list sized once up front, then quarantine / report.  The serving
+ * path drives the same ChunkStitcher one span at a time as uploads
+ * arrive.
+ */
+ProfileResult
+finalizeChunks(const std::vector<std::vector<ChunkResult>> &ranges,
+               const EmProfConfig &config, uint64_t total_samples)
+{
+    EMPROF_OBS_STAGE("analyze.stitch");
+    ChunkStitcher stitcher(config);
+    std::size_t events = 0;
+    for (const auto &spans : ranges)
+        for (const auto &span : spans)
+            events += span.events.size() + 1;
+    stitcher.reserveEvents(events);
+    for (const auto &spans : ranges)
+        for (const auto &span : spans)
+            stitcher.feed(span);
+    return stitcher.finalize(total_samples);
+}
+
+std::size_t
+spanSamples(const ParallelAnalyzerConfig &parallel,
+            const EmProfConfig &config)
+{
+    return parallel.chunkSamples != 0
+               ? parallel.chunkSamples
+               : SpanWindow::defaultSpanSamples(config);
+}
+
 } // namespace
 
-ParallelAnalyzer::ParallelAnalyzer(ParallelAnalyzerConfig config)
-    : config_(config)
-{}
-
 ProfileResult
-ParallelAnalyzer::analyze(const dsp::TimeSeries &magnitude,
-                          EmProfConfig config) const
+analyzeParallel(const dsp::TimeSeries &magnitude, EmProfConfig config,
+                ParallelAnalyzerConfig parallel)
 {
     if (magnitude.sampleRateHz > 0.0)
         config.sampleRateHz = magnitude.sampleRateHz;
-
-    const std::size_t n = magnitude.samples.size();
-    const std::size_t workers = effectiveWorkers(config_.threads);
-
-    std::size_t chunk = config_.chunkSamples;
-    if (chunk == 0) {
-        // Automatic decomposition.  The chunked path only pays off when
-        // there is either real parallelism or the batch kernel; tiny
-        // inputs and scalar single-worker runs degrade to streaming.
-        if (n < config_.minParallelSamples ||
-            (workers <= 1 && !batchPipelineActive()))
-            return EmProf::analyze(magnitude, config);
-        // One span per worker: static partitioning, no queue
-        // contention.  The floor of eight normalisation windows keeps
-        // the halo re-feed (one window per chunk) under ~12% of each
-        // chunk's work.
-        chunk = std::max<std::size_t>(8 * config.normWindowSamples(),
-                                      (n + workers - 1) / workers);
-    }
-    chunk = std::max<std::size_t>(chunk, 1);
-
-    const std::size_t num_chunks = (n + chunk - 1) / chunk;
-    if (num_chunks == 0)
-        return EmProf::analyze(magnitude, config);
-    recordParallelGauges(workers, chunk, num_chunks);
+    const uint64_t n = magnitude.samples.size();
+    const std::size_t workers = effectiveWorkers(parallel.threads);
+    const std::size_t span = spanSamples(parallel, config);
+    const auto ranges =
+        planRanges(n, workers, span, [](uint64_t x) { return x; });
+    recordParallelGauges(workers, span, ranges.size());
 
     EMPROF_OBS_STAGE("analyze.parallel");
-    std::vector<ChunkResult> results(num_chunks);
-    const auto &samples = magnitude.samples;
-    const bool fast = config_.fastMathSimd;
-    // Explicitly-sized chunks still go through the chunk + stitch
-    // machinery on one worker (results are identical; tests rely on
-    // exercising the stitcher regardless of core count) — just without
-    // spinning up a pool.
-    runTasks(workers, num_chunks, [&, chunk, n](std::size_t c) {
-        const uint64_t begin = static_cast<uint64_t>(c) * chunk;
-        const uint64_t end = std::min<uint64_t>(begin + chunk, n);
-        results[c] = analyzeChunkAuto(samples.data(), 0, begin, end,
-                                      c + 1 == num_chunks, config, fast);
+    // Each worker runs its range span by span straight off the
+    // caller's buffer: the samples are already in memory.
+    std::vector<std::vector<ChunkResult>> spans(ranges.size());
+    const dsp::Sample *data = magnitude.samples.data();
+    runTasks(workers, ranges.size(), [&](std::size_t t) {
+        const Range &range = ranges[t];
+        const bool last_range = t + 1 == ranges.size();
+        for (uint64_t b = range.begin; b < range.end; b += span) {
+            const uint64_t e = std::min<uint64_t>(b + span, range.end);
+            spans[t].push_back(analyzeChunkAuto(
+                data, 0, b, e, last_range && e == range.end, config));
+        }
     });
-
-    return finalizeChunks(results, config, n);
+    return finalizeChunks(spans, config, n);
 }
 
 bool
-ParallelAnalyzer::analyzeCapture(const store::CaptureReader &reader,
-                                 EmProfConfig config, ProfileResult &out,
-                                 std::string *error) const
+analyzeCaptureParallel(const store::CaptureReader &reader,
+                       EmProfConfig config, ProfileResult &out,
+                       ParallelAnalyzerConfig parallel, std::string *error)
 {
     const store::CaptureInfo &info = reader.info();
     if (info.sampleRateHz > 0.0)
@@ -165,54 +180,14 @@ ParallelAnalyzer::analyzeCapture(const store::CaptureReader &reader,
         return false;
     }
     const uint64_t n = info.totalSamples;
-
-    const std::size_t workers = effectiveWorkers(config_.threads);
-
-    // Short inputs: decode once, run the streaming path — the same
-    // fallback rule (and therefore the same result) as analyze().
-    const auto streaming = [&]() {
-        dsp::TimeSeries series;
-        if (!reader.readAll(series, error))
-            return false;
-        out = EmProf::analyze(series, config);
-        return true;
-    };
-
-    if (config_.chunkSamples == 0 &&
-        (n < config_.minParallelSamples ||
-         (workers <= 1 && !batchPipelineActive())))
-        return streaming();
-    const std::size_t span =
-        config_.chunkSamples != 0
-            ? config_.chunkSamples
-            : SpanWindow::defaultSpanSamples(config);
-
-    // One range of whole stored chunks per worker (static
-    // partitioning: no queue, no stored chunk decoded twice except as
-    // a neighbour's halo), floored at one span so no range spends
-    // more on its halo than on its own samples.
-    struct Range
-    {
-        std::size_t firstChunk;
-        std::size_t endChunk;
-        uint64_t begin;
-    };
-    std::vector<Range> ranges;
-    const uint64_t target =
-        std::max<uint64_t>(span, (n + workers - 1) / workers);
-    uint64_t next_begin = 0;
-    std::size_t next_chunk = 0;
-    for (std::size_t c = 0; c < reader.chunkCount(); ++c) {
-        const auto &entry = reader.chunk(c);
-        const uint64_t end = entry.firstSample + entry.sampleCount;
-        if (end - next_begin >= target || c + 1 == reader.chunkCount()) {
-            ranges.push_back({next_chunk, c + 1, next_begin});
-            next_begin = end;
-            next_chunk = c + 1;
-        }
-    }
-    if (ranges.empty())
-        return streaming();
+    const std::size_t workers = effectiveWorkers(parallel.threads);
+    const std::size_t span = spanSamples(parallel, config);
+    // Ranges of whole stored chunks: no stored chunk is decoded twice
+    // except as a neighbour's halo.
+    const auto ranges = planRanges(n, workers, span, [&](uint64_t x) {
+        const auto &entry = reader.chunk(reader.chunkContaining(x - 1));
+        return entry.firstSample + entry.sampleCount;
+    });
     recordParallelGauges(workers, span, ranges.size());
 
     EMPROF_OBS_STAGE("analyze.parallel");
@@ -220,26 +195,28 @@ ParallelAnalyzer::analyzeCapture(const store::CaptureReader &reader,
     std::atomic<bool> ok{true};
     std::mutex error_mutex;
     std::string first_error;
-    const bool fast = config_.fastMathSimd;
     // Each worker streams its range through its own SpanWindow:
     // the halo, then every stored chunk decoded straight into the
     // window, each full span analysed while it is still in cache.
     // Working memory is halo + span + one stored chunk per worker.
     runTasks(workers, ranges.size(), [&](std::size_t t) {
         const Range &range = ranges[t];
-        SpanWindow window(config, span, range.begin, fast);
+        const std::size_t last_chunk =
+            reader.chunkContaining(range.end - 1);
+        SpanWindow window(config, span, range.begin);
         std::size_t largest = 0;
-        for (std::size_t c = range.firstChunk; c < range.endChunk; ++c)
+        for (std::size_t c = reader.chunkContaining(range.begin);
+             c <= last_chunk; ++c)
             largest = std::max<std::size_t>(largest,
                                             reader.chunk(c).sampleCount);
-        window.reserveForChunks(largest);
+        window.reserveForChunks(largest, range.end);
 
         std::vector<uint8_t> stored;
         std::vector<dsp::Sample> scratch;
         std::string chunk_error;
         bool good = true;
         for (std::size_t c = reader.chunkContaining(window.end());
-             good && c < range.endChunk; ++c) {
+             good && c <= last_chunk; ++c) {
             if (!ok.load(std::memory_order_relaxed))
                 return; // a sibling already failed
             const auto &entry = reader.chunk(c);
@@ -277,40 +254,8 @@ ParallelAnalyzer::analyzeCapture(const store::CaptureReader &reader,
             *error = first_error;
         return false;
     }
-
-    // Stitch in range order.
-    std::vector<ChunkResult> results;
-    for (auto &range_spans : spans)
-        for (auto &r : range_spans)
-            results.push_back(std::move(r));
-    out = finalizeChunks(results, config, n);
+    out = finalizeChunks(spans, config, n);
     return true;
-}
-
-ProfileResult
-analyzeParallel(const dsp::TimeSeries &magnitude, EmProfConfig config,
-                ParallelAnalyzerConfig parallel)
-{
-    return ParallelAnalyzer(parallel).analyze(magnitude, config);
-}
-
-bool
-analyzeCaptureParallel(const store::CaptureReader &reader,
-                       EmProfConfig config, ProfileResult &out,
-                       ParallelAnalyzerConfig parallel,
-                       std::string *error)
-{
-    return ParallelAnalyzer(parallel).analyzeCapture(reader, config,
-                                                     out, error);
-}
-
-ProfileResult
-EmProf::analyzeParallel(const dsp::TimeSeries &magnitude,
-                        EmProfConfig config, std::size_t threads)
-{
-    ParallelAnalyzerConfig parallel;
-    parallel.threads = threads;
-    return profiler::analyzeParallel(magnitude, config, parallel);
 }
 
 } // namespace emprof::profiler

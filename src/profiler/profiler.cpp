@@ -2,30 +2,11 @@
 
 #include <cmath>
 
-#include "obs/metrics.hpp"
 #include "obs/stage_profiler.hpp"
+#include "profiler/batch_pipeline.hpp"
+#include "profiler/stitch.hpp"
 
 namespace emprof::profiler {
-
-namespace {
-
-// Sample/event totals are added once per batch (never per sample) so
-// the streaming hot loop stays untouched.
-void
-countAnalyzed(uint64_t samples, std::size_t events)
-{
-    if (!obs::MetricsRegistry::enabled())
-        return;
-    auto &registry = obs::MetricsRegistry::instance();
-    static const obs::Counter samples_processed =
-        registry.counter("profiler.samples_processed");
-    static const obs::Counter events_emitted =
-        registry.counter("profiler.events_emitted");
-    samples_processed.add(samples);
-    events_emitted.add(events);
-}
-
-} // namespace
 
 bool
 EmProfConfig::validate(std::string *why) const
@@ -158,101 +139,17 @@ classifyStall(StallEvent &ev, const EmProfConfig &config)
     ev.levelConfidence = conf;
 }
 
-EmProf::EmProf(const EmProfConfig &config)
-    : config_(config),
-      normalizer_(config.normWindowSamples(), config.minContrast),
-      detector_(config.detectorConfig()),
-      resilient_(config.signal.enabled),
-      // When the resilience layer is off the adaptive normaliser is
-      // never pushed; size it trivially so it costs no memory.
-      adaptive_(config.signal.enabled ? config.normWindowSamples() : 1,
-                config.signal.enabled ? config.smootherSamples() : 1,
-                config.signal.driftToleranceFraction > 0.0
-                    ? config.signal.driftToleranceFraction
-                    : 0.05,
-                config.minContrast),
-      blockLen_(config.signal.enabled ? config.qualityBlockSamples()
-                                      : 0)
-{}
-
-void
-EmProf::classify(StallEvent &ev) const
-{
-    classifyStall(ev, config_);
-}
-
-double
-EmProf::pushResilient(double magnitude)
-{
-    const uint64_t idx = samples_;
-    if (idx == 0) {
-        blockAcc_.begin(0);
-    } else if (idx - blockStart_ == blockLen_) {
-        blocks_.push_back(blockAcc_.finish(idx, config_.signal));
-        blockAcc_.begin(idx);
-        blockStart_ = idx;
-    }
-    blockAcc_.push(magnitude);
-    return adaptive_.push(magnitude);
-}
-
-bool
-EmProf::push(dsp::Sample magnitude)
-{
-    const double m = magnitude;
-    // One predicted branch keeps the classic hot path untouched.
-    const double normalized =
-        resilient_ ? pushResilient(m) : normalizer_.push(m);
-    ++samples_;
-    StallEvent ev;
-    if (detector_.push(normalized, ev)) {
-        classify(ev);
-        events_.push_back(ev);
-        if (callback_)
-            callback_(events_.back());
-        return true;
-    }
-    return false;
-}
-
-ProfileResult
-EmProf::finish()
-{
-    StallEvent ev;
-    if (detector_.finish(ev)) {
-        classify(ev);
-        events_.push_back(ev);
-    }
-
-    ProfileResult result;
-    result.events = events_;
-    SignalQualitySummary quality;
-    if (resilient_) {
-        if (samples_ > 0)
-            blocks_.push_back(
-                blockAcc_.finish(samples_, config_.signal));
-        quality = applySignalQuality(result.events, blocks_,
-                                     config_.detectorConfig(),
-                                     config_.signal, samples_);
-    }
-    result.report = makeReport(result.events, config_.sampleRateHz,
-                               config_.clockHz, samples_);
-    result.report.quality = quality;
-    return result;
-}
-
 ProfileResult
 EmProf::analyze(const dsp::TimeSeries &magnitude, EmProfConfig config)
 {
     EMPROF_OBS_STAGE("analyze.streaming");
     if (magnitude.sampleRateHz > 0.0)
         config.sampleRateHz = magnitude.sampleRateHz;
-    EmProf prof(config);
-    for (dsp::Sample s : magnitude.samples)
-        prof.push(s);
-    ProfileResult result = prof.finish();
-    countAnalyzed(prof.samplesSeen(), result.events.size());
-    return result;
+    const uint64_t n = magnitude.samples.size();
+    ChunkStitcher stitcher(config);
+    stitcher.feed(detail::analyzeChunkStreaming(
+        magnitude.samples.data(), 0, 0, n, /*is_final=*/true, config));
+    return stitcher.finalize(n);
 }
 
 } // namespace emprof::profiler

@@ -5,8 +5,10 @@
  * Pipeline, per Sec. IV: magnitude samples -> moving min/max
  * normalisation -> duration-thresholded dip detection -> event
  * classification (ordinary miss vs. refresh-coincident) -> report.
- * Everything is streaming, so the profiler can run in real time on an
- * SDR stream; a batch analyze() is provided for recorded signals.
+ * Every stage is a bounded-history streaming computation, so a recorded
+ * signal can be analysed in spans (batch_pipeline.hpp) and stitched
+ * back (stitch.hpp) bit-identically — which is how EmProf::analyze, the
+ * parallel analyzer and the ingest service all run it.
  */
 
 #ifndef EMPROF_PROFILER_PROFILER_HPP
@@ -14,14 +16,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "dsp/types.hpp"
 #include "profiler/dip_detector.hpp"
 #include "profiler/events.hpp"
-#include "profiler/normalizer.hpp"
 #include "profiler/report.hpp"
 #include "profiler/signal_quality.hpp"
 
@@ -215,94 +215,27 @@ struct ProfileResult
 /**
  * Convert a raw dip (sample indices + depth) into a classified stall:
  * duration in ns and cycles, ordinary miss vs. refresh-coincident.
- * Shared by the streaming facade and the parallel analyzer so both
- * paths classify identically.
+ * Shared by both analysis kernels and the stitcher so every path
+ * classifies identically.
  */
 void classifyStall(StallEvent &ev, const EmProfConfig &config);
 
-/**
- * Streaming EMPROF instance.
- */
+/** The whole-signal scalar reference analysis. */
 class EmProf
 {
   public:
-    /** Live-event callback for online monitoring. */
-    using EventCallback = std::function<void(const StallEvent &)>;
-
-    explicit EmProf(const EmProfConfig &config);
-
     /**
-     * Push one magnitude sample; completed events are appended to the
-     * internal event list.
-     *
-     * @retval true An event was completed by this sample.
-     */
-    bool push(dsp::Sample magnitude);
-
-    /**
-     * Register a callback fired as each stall completes — this is how
-     * a live deployment watches tail latencies as they happen (e.g.
-     * alerting on refresh-coincident stalls in a real-time system)
-     * instead of waiting for finish().
-     */
-    void
-    onEvent(EventCallback callback)
-    {
-        callback_ = std::move(callback);
-    }
-
-    /** Flush any open dip and build the final report. */
-    ProfileResult finish();
-
-    /** Events completed so far (valid before finish() too). */
-    const std::vector<StallEvent> &events() const { return events_; }
-
-    /** Samples consumed so far. */
-    uint64_t samplesSeen() const { return samples_; }
-
-    const EmProfConfig &config() const { return config_; }
-
-    /**
-     * Batch convenience: analyse a whole recorded magnitude series.
+     * Analyse a whole recorded magnitude series as one scalar span:
+     * detail::analyzeChunkStreaming over [0, n), stitched and reported
+     * by one ChunkStitcher.  It never dispatches to the AVX2 kernel, so
+     * it stays the reference the figure/table programs and the
+     * benchmark's report check compare against; analyzeParallel()
+     * (parallel_analyzer.hpp) gives bit-identical results on the pool.
      *
      * The series' own sample rate overrides config.sampleRateHz.
      */
     static ProfileResult analyze(const dsp::TimeSeries &magnitude,
                                  EmProfConfig config);
-
-    /**
-     * Batch convenience: analyse a recorded series on @p threads
-     * worker threads (0 = hardware concurrency), producing events
-     * bit-identical to analyze().  Short inputs fall back to the
-     * streaming path automatically; see profiler/parallel_analyzer.hpp
-     * for chunk-level control.  Implemented in parallel_analyzer.cpp.
-     */
-    static ProfileResult analyzeParallel(const dsp::TimeSeries &magnitude,
-                                         EmProfConfig config,
-                                         std::size_t threads = 0);
-
-  private:
-    /** Convert a raw dip into a classified stall event. */
-    void classify(StallEvent &ev) const;
-
-    /** Resilient-path per-sample work (adaptive norm + block stats). */
-    double pushResilient(double magnitude);
-
-    EmProfConfig config_;
-    MovingMinMaxNormalizer normalizer_;
-    DipDetector detector_;
-    std::vector<StallEvent> events_;
-    EventCallback callback_;
-    uint64_t samples_ = 0;
-
-    // Resilient path (unused when config.signal.enabled is false; the
-    // hot path then costs one predicted branch).
-    bool resilient_ = false;
-    AdaptiveNormalizer adaptive_;
-    BlockAccumulator blockAcc_;
-    std::vector<SignalBlock> blocks_;
-    uint64_t blockStart_ = 0;
-    uint64_t blockLen_ = 0;
 };
 
 } // namespace emprof::profiler

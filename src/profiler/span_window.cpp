@@ -14,17 +14,18 @@ SpanWindow::defaultSpanSamples(const EmProfConfig &config)
 }
 
 SpanWindow::SpanWindow(const EmProfConfig &config, std::size_t spanSamples,
-                       uint64_t first, bool fastMath)
+                       uint64_t first)
     : config_(config), spanSamples_(std::max<std::size_t>(spanSamples, 1)),
-      fastMath_(fastMath),
       bufferBegin_(first - std::min<uint64_t>(first, config.haloSamples())),
       next_(first)
 {}
 
 void
-SpanWindow::reserveForChunks(std::size_t chunkSamples)
+SpanWindow::reserveForChunks(std::size_t chunkSamples, uint64_t last)
 {
-    buffer_.reserve(config_.haloSamples() + spanSamples_ + chunkSamples);
+    buffer_.reserve(static_cast<std::size_t>(std::min<uint64_t>(
+        config_.haloSamples() + spanSamples_ + chunkSamples,
+        last - bufferBegin_)));
 }
 
 dsp::Sample *
@@ -40,7 +41,7 @@ SpanWindow::analyzeSpan(uint64_t end, bool is_final)
 {
     ChunkResult result =
         analyzeChunkAuto(buffer_.data(), bufferBegin_, next_, end,
-                         is_final, config_, fastMath_);
+                         is_final, config_);
     ++spansAnalyzed_;
     next_ = end;
     return result;

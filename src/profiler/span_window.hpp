@@ -1,13 +1,14 @@
 /**
  * @file
- * The bounded sample window every chunked analysis path runs through.
+ * The bounded sample window the capture and served analysis paths run
+ * through.
  *
  * A SpanWindow holds the samples of one contiguous stretch of a
- * capture, from a halo before its first analysed sample up to whatever
- * the caller has appended so far.  Callers write samples in place at
- * the tail (a stored chunk decoded straight into extend()'s pointer,
- * or a push decoder appending to buffer()); the window cuts them into
- * spans:
+ * capture that is not already in memory, from a halo before its first
+ * analysed sample up to whatever the caller has appended so far.
+ * Callers write samples in place at the tail (a stored chunk decoded
+ * straight into extend()'s pointer, or a push decoder appending to
+ * buffer()); the window cuts them into spans:
  *
  *     bufferBegin      next                next + span        end()
  *         | halo ....... | span (analysed) ... | unanalysed ... |
@@ -23,11 +24,11 @@
  * therefore never holds more than
  *     halo + span + (largest appended chunk)
  * samples, whatever the capture length.  SessionPipeline runs one
- * window per served session; ParallelAnalyzer::analyzeCapture runs one
- * per worker, over the worker's range of stored chunks.  Every span's
+ * window per served session; analyzeCaptureParallel runs one per
+ * worker, over the worker's range of stored chunks.  Every span's
  * ChunkResult goes to a ChunkStitcher in capture order, which makes the
- * result bit-identical to the streaming path for any span length and
- * any way the samples were appended (DESIGN.md §8).
+ * result bit-identical to EmProf::analyze for any span length and any
+ * way the samples were appended (DESIGN.md §8).
  */
 
 #ifndef EMPROF_PROFILER_SPAN_WINDOW_HPP
@@ -47,7 +48,7 @@ class SpanWindow
 {
   public:
     /**
-     * The span length both chunked paths use unless told otherwise:
+     * The span length every chunked path uses unless told otherwise:
      * max(store::kDefaultChunkSamples, 8 normalisation windows), so the
      * halo re-feed stays under ~12% of each span's work.
      */
@@ -59,10 +60,9 @@ class SpanWindow
      * @param first Global index of the first sample to analyse; the
      *        caller appends from bufferBegin() = first - min(first,
      *        haloSamples()) on.
-     * @param fastMath Passed to analyzeChunkAuto.
      */
     SpanWindow(const EmProfConfig &config, std::size_t spanSamples,
-               uint64_t first, bool fastMath = false);
+               uint64_t first);
 
     /** Global index of the first buffered sample. */
     uint64_t bufferBegin() const { return bufferBegin_; }
@@ -74,8 +74,10 @@ class SpanWindow
     std::size_t bufferedSamples() const { return buffer_.size(); }
 
     /** Size the buffer once for appends of up to @p chunkSamples at a
-     *  time, so it never reallocates while the window runs. */
-    void reserveForChunks(std::size_t chunkSamples);
+     *  time, up to global sample @p last (exclusive), so it never
+     *  reallocates while the window runs and never reserves more than
+     *  the range can hold. */
+    void reserveForChunks(std::size_t chunkSamples, uint64_t last);
 
     /**
      * Grow the tail by @p n samples and return where they go; the
@@ -108,7 +110,6 @@ class SpanWindow
 
     EmProfConfig config_;
     std::size_t spanSamples_;
-    bool fastMath_;
     std::vector<dsp::Sample> buffer_; ///< [bufferBegin_, end())
     uint64_t bufferBegin_;
     uint64_t next_; ///< first unanalysed global sample

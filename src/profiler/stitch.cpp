@@ -80,7 +80,7 @@ ProfileResult
 ChunkStitcher::finalize(uint64_t totalSamples)
 {
     EMPROF_OBS_STAGE("analyze.stitch_finalize");
-    // Input ends mid-dip: same flush rule as EmProf::finish().
+    // Input ends mid-dip: same flush rule as DipDetector::finish().
     if (!finalized_ && carry_.inDip) {
         emitCarry();
         carry_ = DipDetector::DipState{};

@@ -2,28 +2,28 @@
  * @file
  * Incremental chunk stitching: the sequential tail of chunked analysis.
  *
- * Chunked analysis (parallel batch, or a long-lived serving session
- * feeding chunks as they arrive off a socket) produces one ChunkResult
- * per contiguous span of samples.  ChunkStitcher consumes those results
- * *in order* and maintains exactly the state the streaming detector
- * would have had at each chunk boundary: the open-dip carry, the event
- * list so far, and the quality blocks.  Chunk events arrive already
- * classified (the kernels classify where they emit, as EmProf::push
- * does); the stitcher classifies only the dips it closes itself.
- * finalize() then applies the signal-quality layer and builds the
- * report in the same order as EmProf::finish(), so the stitched result
- * is bit-identical to the streaming path no matter how the input was
- * cut into chunks — or how long the gaps between feed() calls were.
+ * Every analysis path (EmProf::analyze's one span, the parallel
+ * workers' ranges, or a long-lived serving session feeding spans as
+ * they arrive off a socket) produces one ChunkResult per contiguous
+ * span of samples.  ChunkStitcher consumes those results *in order*
+ * and maintains exactly the state a per-sample detector would have had
+ * at each span boundary: the open-dip carry, the event list so far, and
+ * the quality blocks.  Span events arrive already classified (the
+ * kernels classify where they emit); the stitcher classifies only the
+ * dips it closes itself.  finalize() then flushes a dip left open at
+ * the end with DipDetector::finish()'s rule, applies the signal-quality
+ * layer and builds the report, so the stitched result is bit-identical
+ * to the per-sample loop no matter how the input was cut into spans —
+ * or how long the gaps between feed() calls were.
  *
  * This is the piece that makes analysis *resumable*: a server session
  * can feed a chunk, go idle for seconds while the next upload frame
  * crosses the network, and feed the next — the stitcher carries the
  * detector state across feeds with no buffered samples at all.
  *
- * Extracted from ParallelAnalyzer (which now drives it with
- * pool-ordered results) so the one-shot and served paths share one
- * stitch implementation.  See DESIGN.md §8 for the carry/replay
- * argument and §14 for the serving pipeline built on top.
+ * The one-shot and served paths share this one stitch implementation.
+ * See DESIGN.md §8 for the carry/replay argument and §14 for the
+ * serving pipeline built on top.
  */
 
 #ifndef EMPROF_PROFILER_STITCH_HPP
@@ -61,8 +61,8 @@ class ChunkStitcher
     void feed(const ChunkResult &chunk);
 
     /**
-     * Flush the open dip (same rule as EmProf::finish()), apply signal
-     * quality, and build the report over @p totalSamples.
+     * Flush the open dip (same rule as DipDetector::finish()), apply
+     * signal quality, and build the report over @p totalSamples.
      */
     ProfileResult finalize(uint64_t totalSamples);
 

@@ -11,9 +11,9 @@
  *    into caller memory, through a stored-bytes buffer the caller
  *    reuses — it is `const` and uses positioned reads (pread), so any
  *    number of threads may decode different chunks of one reader
- *    concurrently; this is what lets ParallelAnalyzer's workers decode
- *    into their own analysis windows.  decodeChunk() is the same
- *    decode into a vector.
+ *    concurrently; this is what lets analyzeCaptureParallel's workers
+ *    decode into their own analysis windows.  decodeChunk() is the
+ *    same decode into a vector.
  *  - readRange() seeks straight to the covering chunks via the footer
  *    index: O(1) per lookup plus one decode per touched chunk.
  *  - verify() walks every byte of the file against its CRC and reports

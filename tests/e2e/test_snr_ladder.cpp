@@ -12,8 +12,8 @@
  *   - the adaptive pipeline strictly outperforms the naive detector
  *     once the channel degrades (15 and 10 dB),
  *   - quarantined blocks never leak events,
- *   - the streaming and 8-way parallel paths agree bit-for-bit at
- *     every rung.
+ *   - the per-sample streaming oracle and the 8-way parallel path
+ *     agree bit-for-bit at every rung.
  *
  * A 1000-seed impairment fuzz rides along: it exists mostly for the
  * nightly ASan run, shaking pointer and state errors out of the
@@ -32,6 +32,7 @@
 #include "profiler/parallel_analyzer.hpp"
 #include "profiler/profiler.hpp"
 #include "profiler/signal_quality.hpp"
+#include "../profiler/streaming_oracle.hpp"
 #include "golden_common.hpp"
 
 namespace emprof::profiler {
@@ -195,7 +196,8 @@ TEST(SnrLadder, RecallDegradesGracefullyAndBeatsNaiveThreshold)
         auto series = golden::goldenSignal();
         dsp::applyImpairments(series, spec);
 
-        const auto streaming = EmProf::analyze(series, config);
+        const auto streaming =
+            oracle::StreamingOracle::analyze(series, config);
 
         // Parallel path must agree bit-for-bit at every rung.
         ParallelAnalyzerConfig pcfg;

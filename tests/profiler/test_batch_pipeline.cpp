@@ -11,7 +11,8 @@
  * The AVX2-specific tests skip on hardware without AVX2 or when
  * EMPROF_SIMD=scalar / EMPROF_DISABLE_SIMD disables the kernel; the
  * end-to-end equivalence tests run everywhere (they then exercise the
- * streaming fallback against itself, which must also hold).
+ * scalar span reference against the per-sample oracle, which must also
+ * hold).
  */
 
 #include <cmath>
@@ -25,6 +26,7 @@
 #include "profiler/batch_pipeline.hpp"
 #include "profiler/parallel_analyzer.hpp"
 #include "profiler/profiler.hpp"
+#include "streaming_oracle.hpp"
 
 namespace emprof::profiler {
 namespace {
@@ -172,7 +174,7 @@ compareChunk(const std::vector<dsp::Sample> &x, uint64_t begin,
     const ChunkResult ref = detail::analyzeChunkStreaming(
         x.data(), 0, begin, end, is_final, config);
     const ChunkResult simd = detail::analyzeChunkBatchAvx2(
-        x.data(), 0, begin, end, is_final, config, /*fastMath=*/false);
+        x.data(), 0, begin, end, is_final, config);
     expectSameResult(ref, simd, config, what);
 }
 
@@ -197,6 +199,10 @@ TEST(BatchPipeline, ClassicChunkBitParityAcrossWindows)
         // ...a chunk whose halo is clipped by the series start...
         compareChunk(x, std::min<uint64_t>(w / 2 + 1, 100), 3000, false,
                      config, "w=" + std::to_string(w) + " clipped");
+        // ...a chunk shorter than the window after a full halo (the
+        // envelope tables are sized by the samples a call sees)...
+        compareChunk(x, 3001, 3001 + (w + 1) / 2, false, config,
+                     "w=" + std::to_string(w) + " short");
         // ...and a final chunk shorter than one vector.
         compareChunk(x, x.size() - 5, x.size(), true, config,
                      "w=" + std::to_string(w) + " tail");
@@ -223,6 +229,8 @@ TEST(BatchPipeline, ResilientChunkBitParity)
             compareChunk(x, 0, x.size(), true, config, base + " whole");
             compareChunk(x, 2000, 4500, false, config,
                          base + " interior");
+            compareChunk(x, 3001, 3001 + (w + 1) / 2, false, config,
+                         base + " short");
             // Small unaligned quality blocks, q < w.
             config.signal.blockSamples = 37;
             compareChunk(x, 0, x.size(), true, config,
@@ -277,7 +285,7 @@ TEST(BatchPipeline, AutoDispatchMatchesExplicitKernel)
     const ChunkResult autoR =
         analyzeChunkAuto(x.data(), 0, 500, 3500, false, config);
     const ChunkResult simd = detail::analyzeChunkBatchAvx2(
-        x.data(), 0, 500, 3500, false, config, false);
+        x.data(), 0, 500, 3500, false, config);
     expectSameResult(autoR, simd, config, "auto vs explicit");
 }
 #endif // !EMPROF_DISABLE_SIMD
@@ -300,8 +308,8 @@ TEST(BatchPipeline, StreamingChunkClassifiesAtEmission)
 TEST(BatchPipeline, ParallelMatchesStreamingEndToEnd)
 {
     // Runs on every build flavour: with the kernel active this checks
-    // batch+stitch against streaming; without it, chunked streaming
-    // against streaming.
+    // batch+stitch against the per-sample oracle; without it, chunked
+    // streaming against it.
     dsp::TimeSeries series;
     series.sampleRateHz = 1e6;
     series.samples = makeSignal(50000, 0xe2e);
@@ -309,7 +317,8 @@ TEST(BatchPipeline, ParallelMatchesStreamingEndToEnd)
     for (bool resilient : {false, true}) {
         EmProfConfig config = configWithWindow(160);
         config.signal.enabled = resilient;
-        const ProfileResult ref = EmProf::analyze(series, config);
+        const ProfileResult ref =
+            oracle::StreamingOracle::analyze(series, config);
 
         ParallelAnalyzerConfig pcfg;
         pcfg.threads = 8;
@@ -329,33 +338,6 @@ TEST(BatchPipeline, ParallelMatchesStreamingEndToEnd)
         }
         EXPECT_EQ(ref.report.totalStallCycles,
                   par.report.totalStallCycles);
-    }
-}
-
-TEST(BatchPipeline, FastMathStaysWithinUlpBound)
-{
-    // fastMath relaxes the classic normalise to single precision; dips
-    // planted far from the thresholds must still come out identically,
-    // and every normalised depth must agree to the documented ~2 float
-    // ULP relative bound.
-    dsp::TimeSeries series;
-    series.sampleRateHz = 1e6;
-    series.samples = makeSignal(40000, 0xfa57);
-
-    const EmProfConfig config = configWithWindow(160);
-    const ProfileResult ref = EmProf::analyze(series, config);
-
-    ParallelAnalyzerConfig pcfg;
-    pcfg.threads = 4;
-    pcfg.chunkSamples = 9001;
-    pcfg.fastMathSimd = true;
-    const ProfileResult fast = analyzeParallel(series, config, pcfg);
-
-    ASSERT_EQ(ref.events.size(), fast.events.size());
-    for (std::size_t i = 0; i < ref.events.size(); ++i) {
-        EXPECT_EQ(ref.events[i].startSample, fast.events[i].startSample);
-        EXPECT_EQ(ref.events[i].endSample, fast.events[i].endSample);
-        EXPECT_NEAR(ref.events[i].depth, fast.events[i].depth, 1e-5);
     }
 }
 

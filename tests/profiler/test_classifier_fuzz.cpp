@@ -9,8 +9,8 @@
  * zero only on a boundary or a rejected event.  A slice of the seeds
  * runs hostile configs (NaN, infinities, denormals) that must take the
  * zeroed reject path, and another slice runs whole random signals
- * through the streaming and parallel analyzers, which must agree on
- * every label bit for bit.
+ * through the per-sample streaming oracle and the parallel analyzer,
+ * which must agree on every label bit for bit.
  */
 
 #include <cmath>
@@ -21,7 +21,9 @@
 #include <gtest/gtest.h>
 
 #include "dsp/rng.hpp"
+#include "profiler/parallel_analyzer.hpp"
 #include "profiler/profiler.hpp"
+#include "streaming_oracle.hpp"
 
 namespace emprof::profiler {
 namespace {
@@ -186,8 +188,10 @@ TEST(ClassifierFuzz, StreamingAndParallelAgreeOnEveryLabelBit)
             pos += len + 60 + rng.below(400);
         }
 
-        const auto streaming = EmProf::analyze(sig, cfg);
-        const auto parallel = EmProf::analyzeParallel(sig, cfg, 3);
+        const auto streaming = oracle::StreamingOracle::analyze(sig, cfg);
+        ParallelAnalyzerConfig pcfg;
+        pcfg.threads = 3;
+        const auto parallel = analyzeParallel(sig, cfg, pcfg);
 
         ASSERT_EQ(streaming.events.size(), parallel.events.size())
             << "seed " << seed;

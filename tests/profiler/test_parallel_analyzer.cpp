@@ -1,11 +1,11 @@
 /**
  * @file
- * Chunk-boundary equivalence tests for the parallel batch analyzer:
- * for any chunk size and thread count, analyzeParallel must produce a
- * result bit-identical to the streaming path — same event count, same
- * start/end samples, same depth (exact floating-point equality, which
- * the stitcher guarantees by replaying prefix samples in order), same
- * classification.
+ * Span-boundary equivalence tests for the parallel analyzer: for any
+ * span size and thread count, analyzeParallel must produce a result
+ * bit-identical to the per-sample streaming oracle — same event count,
+ * same start/end samples, same depth (exact floating-point equality,
+ * which the stitcher guarantees by replaying prefix samples in order),
+ * same classification.
  */
 
 #include <gtest/gtest.h>
@@ -15,9 +15,13 @@
 #include "dsp/rng.hpp"
 #include "profiler/parallel_analyzer.hpp"
 #include "profiler/profiler.hpp"
+#include "streaming_oracle.hpp"
 
 namespace emprof::profiler {
 namespace {
+
+using oracle::expectMatchesOracle;
+using oracle::StreamingOracle;
 
 EmProfConfig
 testConfig()
@@ -74,7 +78,7 @@ expectParallelMatchesStreaming(const dsp::TimeSeries &sig,
                                const EmProfConfig &cfg,
                                std::size_t chunk, std::size_t threads)
 {
-    const auto streaming = EmProf::analyze(sig, cfg);
+    const auto streaming = StreamingOracle::analyze(sig, cfg);
     ParallelAnalyzerConfig pcfg;
     pcfg.threads = threads;
     pcfg.chunkSamples = chunk;
@@ -157,23 +161,60 @@ TEST(ParallelAnalyzer, RandomizedDipsAcrossChunkSizesAndThreads)
 
 TEST(ParallelAnalyzer, SingleThreadAndShortInputFallBackToStreaming)
 {
+    // No path falls back any more: one worker and a short input both
+    // run the ordinary ranges (here a single inline range of one
+    // span) and must still give the streaming result.
     auto sig = busySignal(20000, 77);
     writeDip(sig, 5000, 8);
     writeDip(sig, 15000, 8);
-    const auto streaming = EmProf::analyze(sig, testConfig());
+    const auto streaming = StreamingOracle::analyze(sig, testConfig());
 
-    // threads == 1 takes the streaming path outright.
     ParallelAnalyzerConfig one;
     one.threads = 1;
     expectIdentical(analyzeParallel(sig, testConfig(), one), streaming);
 
-    // Auto chunking on a short input falls back too (and the facade
-    // default must match it).
     ParallelAnalyzerConfig aut;
     aut.threads = 4;
     expectIdentical(analyzeParallel(sig, testConfig(), aut), streaming);
-    expectIdentical(EmProf::analyzeParallel(sig, testConfig(), 4),
-                    streaming);
+    expectIdentical(analyzeParallel(sig, testConfig()), streaming);
+    expectIdentical(EmProf::analyze(sig, testConfig()), streaming);
+
+    // The shortest inputs: none (the empty report), 1, 2, window - 1
+    // and window + 1 samples, whose envelope tables are sized by the
+    // input rather than the window.  The longer ones carry a dip
+    // inside and one running off the end.
+    const std::size_t w = testConfig().normWindowSamples();
+    for (const std::size_t n :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, w - 1, w + 1}) {
+        auto tiny = busySignal(n, 40 + n);
+        if (n > 100) {
+            writeDip(tiny, n / 3, 12);
+            writeDip(tiny, n - 9, 9);
+        }
+        for (const bool resilient : {false, true}) {
+            EmProfConfig cfg = testConfig();
+            cfg.signal.enabled = resilient;
+            const auto reference = StreamingOracle::analyze(tiny, cfg);
+            expectMatchesOracle(EmProf::analyze(tiny, cfg), reference);
+            // Automatic spans, then explicit spans shorter than the
+            // input and than the window.
+            for (const std::size_t span :
+                 {std::size_t{0}, std::size_t{1}, std::size_t{97}})
+                for (const std::size_t threads :
+                     {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "n=" << n << " span=" << span
+                                 << " threads=" << threads
+                                 << (resilient ? " resilient"
+                                               : " classic"));
+                    ParallelAnalyzerConfig pcfg;
+                    pcfg.threads = threads;
+                    pcfg.chunkSamples = span;
+                    expectMatchesOracle(analyzeParallel(tiny, cfg, pcfg),
+                                        reference);
+                }
+        }
+    }
 }
 
 TEST(ParallelAnalyzer, RefreshClassificationSurvivesStitching)
@@ -183,7 +224,7 @@ TEST(ParallelAnalyzer, RefreshClassificationSurvivesStitching)
     const std::size_t chunk = 500;
     auto sig = busySignal(8 * chunk, 13);
     writeDip(sig, 3 * chunk - 30, 100); // 2.5 us at 40 MHz
-    const auto streaming = EmProf::analyze(sig, testConfig());
+    const auto streaming = StreamingOracle::analyze(sig, testConfig());
     ASSERT_EQ(streaming.events.size(), 1u);
     ASSERT_EQ(streaming.events[0].kind, StallKind::RefreshCoincident);
 
@@ -200,7 +241,7 @@ TEST(ParallelAnalyzer, WholeChunksBelowExitStayOneEvent)
     const std::size_t chunk = 50;
     auto sig = busySignal(2000, 3);
     writeDip(sig, 480, 400); // 8 whole chunks below exit
-    const auto streaming = EmProf::analyze(sig, testConfig());
+    const auto streaming = StreamingOracle::analyze(sig, testConfig());
     ASSERT_EQ(streaming.events.size(), 1u);
     for (const std::size_t threads : {std::size_t{2}, std::size_t{4}})
         expectParallelMatchesStreaming(sig, testConfig(), chunk, threads);

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "../e2e/golden_common.hpp"
 #include "dsp/rng.hpp"
 #include "profiler/profiler.hpp"
+#include "streaming_oracle.hpp"
 
 namespace emprof::profiler {
 namespace {
@@ -98,7 +100,7 @@ TEST(EmProf, StreamingMatchesBatch)
     const auto batch = EmProf::analyze(sig, testConfig());
 
     EmProfConfig cfg = testConfig();
-    EmProf streaming(cfg);
+    oracle::StreamingOracle streaming(cfg);
     for (float x : sig.samples)
         streaming.push(x);
     const auto stream_result = streaming.finish();
@@ -165,6 +167,59 @@ TEST(EmProf, ReportTextContainsHeadlineNumbers)
     const auto text = result.report.toText("title-line");
     EXPECT_NE(text.find("title-line"), std::string::npos);
     EXPECT_NE(text.find("events: 1"), std::string::npos);
+}
+
+TEST(EmProf, AnalyzeMatchesTheStreamingOracleBitForBit)
+{
+    // EmProf::analyze is one scalar span plus the stitcher; it must be
+    // the per-sample loop bit for bit, in both modes, on the golden
+    // signal and on the classifier fuzz's random band configs and
+    // random dips (lengths 2..121, some running off the end).
+    const dsp::TimeSeries golden_signal = golden::goldenSignal();
+    for (const bool resilient : {false, true}) {
+        SCOPED_TRACE(resilient ? "resilient" : "classic");
+        EmProfConfig golden_cfg = golden::goldenConfig();
+        golden_cfg.signal.enabled = resilient;
+        oracle::expectMatchesOracle(
+            EmProf::analyze(golden_signal, golden_cfg),
+            oracle::StreamingOracle::analyze(golden_signal, golden_cfg));
+
+        for (uint64_t seed = 0; seed < 40; ++seed) {
+            SCOPED_TRACE(::testing::Message() << "seed " << seed);
+            dsp::Rng rng(0xc1a55 + seed);
+            EmProfConfig cfg;
+            cfg.clockHz = 1e9;
+            cfg.normWindowSeconds = 40e-6;
+            cfg.minStallNs = 40.0;
+            cfg.minDurationFloorSamples = 2;
+            cfg.llcHitMaxNs = 50.0 + rng.uniform() * 100.0;
+            cfg.refreshStallNs = 800.0 + rng.uniform() * 1000.0;
+            cfg.prefetchMaskedMaxNs =
+                rng.uniform() < 0.5
+                    ? 0.0
+                    : cfg.llcHitMaxNs +
+                          rng.uniform() *
+                              (cfg.refreshStallNs - cfg.llcHitMaxNs);
+            cfg.signal.enabled = resilient;
+
+            dsp::TimeSeries sig;
+            sig.sampleRateHz = 40e6;
+            sig.samples.assign(4096 + rng.below(4096), 1.0f);
+            for (auto &x : sig.samples)
+                x += static_cast<float>(0.04 * (rng.uniform() - 0.5));
+            std::size_t pos = 100 + rng.below(400);
+            while (pos < sig.samples.size()) {
+                const std::size_t len = 2 + rng.below(120);
+                for (std::size_t i = pos;
+                     i < pos + len && i < sig.samples.size(); ++i)
+                    sig.samples[i] = 0.2f;
+                pos += len + 60 + rng.below(400);
+            }
+            oracle::expectMatchesOracle(
+                EmProf::analyze(sig, cfg),
+                oracle::StreamingOracle::analyze(sig, cfg));
+        }
+    }
 }
 
 TEST(LatencyHistogram, BinsEvents)

@@ -16,6 +16,7 @@
 #include "profiler/parallel_analyzer.hpp"
 #include "profiler/profiler.hpp"
 #include "profiler/signal_quality.hpp"
+#include "streaming_oracle.hpp"
 
 namespace emprof::profiler {
 namespace {
@@ -318,7 +319,7 @@ TEST(ResilientParallel, BitIdenticalToResilientStreaming)
     EmProfConfig config = testConfig();
     config.signal.enabled = true;
 
-    const auto streaming = EmProf::analyze(series, config);
+    const auto streaming = oracle::StreamingOracle::analyze(series, config);
     for (std::size_t threads : {2u, 8u}) {
         for (std::size_t chunk : {512u, 1000u, 4096u}) {
             ParallelAnalyzerConfig pcfg;

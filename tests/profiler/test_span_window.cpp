@@ -5,7 +5,7 @@
  * span + halo + the largest chunk appended at once, and its spans —
  * from one window over the whole capture, or from two windows over
  * adjacent ranges as two offline workers run them — must stitch to
- * exactly what EmProf::analyze reports.
+ * exactly what the per-sample streaming oracle reports.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include "profiler/profiler.hpp"
 #include "profiler/span_window.hpp"
 #include "profiler/stitch.hpp"
+#include "streaming_oracle.hpp"
 
 namespace emprof::profiler {
 namespace {
@@ -105,7 +106,8 @@ TEST(SpanWindow, BoundedBufferStitchesToStreaming)
     const auto sig = busySignalWithDips(kSamples, 11);
     for (const bool resilient : {false, true}) {
         const EmProfConfig config = testConfig(resilient);
-        const ProfileResult reference = EmProf::analyze(sig, config);
+        const ProfileResult reference =
+            oracle::StreamingOracle::analyze(sig, config);
         // Spans far below, at, and above the 800-sample window, and
         // longer than the capture.
         for (const std::size_t span :

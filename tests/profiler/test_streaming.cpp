@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the streaming/extension features: live event callbacks,
- * chunked-delivery equivalence, and per-region dominant-frequency
- * estimation.
+ * Tests for the streaming/extension features: chunked-delivery
+ * equivalence, per-region dominant-frequency estimation and the naive
+ * fixed-threshold strawman.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include "profiler/attribution.hpp"
 #include "profiler/naive_threshold.hpp"
 #include "profiler/profiler.hpp"
+#include "streaming_oracle.hpp"
 
 namespace emprof::profiler {
 namespace {
@@ -45,50 +46,15 @@ testConfig()
     return cfg;
 }
 
-TEST(Streaming, CallbackFiresOncePerEvent)
-{
-    const auto sig = signalWithDips(20000, 25);
-    EmProf prof(testConfig());
-    std::size_t fired = 0;
-    uint64_t last_end = 0;
-    prof.onEvent([&](const StallEvent &ev) {
-        ++fired;
-        EXPECT_GE(ev.startSample, last_end);
-        last_end = ev.endSample;
-        EXPECT_GT(ev.stallCycles, 0.0);
-    });
-    for (float x : sig.samples)
-        prof.push(x);
-    const auto result = prof.finish();
-    EXPECT_EQ(fired, 25u);
-    EXPECT_EQ(result.events.size(), 25u);
-}
-
-TEST(Streaming, CallbackSeesClassifiedKind)
-{
-    // One long (refresh-class) dip among short ones.
-    auto sig = signalWithDips(20000, 5);
-    for (std::size_t i = 10000; i < 10100; ++i)
-        sig.samples[i] = 0.2f; // 2.5 us
-    EmProf prof(testConfig());
-    std::size_t refresh_seen = 0;
-    prof.onEvent([&](const StallEvent &ev) {
-        refresh_seen += ev.kind == StallKind::RefreshCoincident;
-    });
-    for (float x : sig.samples)
-        prof.push(x);
-    prof.finish();
-    EXPECT_EQ(refresh_seen, 1u);
-}
-
 TEST(Streaming, ChunkedDeliveryMatchesWholeSignal)
 {
-    // Delivering the signal in arbitrary chunk sizes (as an SDR driver
-    // would) must not change the result.
+    // Delivering the signal to the per-sample oracle in arbitrary
+    // chunk sizes (as an SDR front end would) must give what
+    // EmProf::analyze reports for the whole signal.
     const auto sig = signalWithDips(30000, 40);
     const auto whole = EmProf::analyze(sig, testConfig());
 
-    EmProf prof(testConfig());
+    oracle::StreamingOracle prof(testConfig());
     std::size_t pos = 0;
     dsp::Rng rng(11);
     while (pos < sig.samples.size()) {
@@ -107,7 +73,9 @@ TEST(Streaming, ChunkedDeliveryMatchesWholeSignal)
                   whole.events[i].startSample);
         EXPECT_EQ(chunked.events[i].endSample,
                   whole.events[i].endSample);
+        EXPECT_EQ(chunked.events[i].depth, whole.events[i].depth);
     }
+    EXPECT_EQ(chunked.report.toText(), whole.report.toText());
 }
 
 TEST(Attribution, DominantFrequencyTracksLoopRate)

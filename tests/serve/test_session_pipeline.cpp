@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "../e2e/golden_common.hpp"
+#include "../profiler/streaming_oracle.hpp"
 #include "serve/session_pipeline.hpp"
 #include "store/crc32c.hpp"
 
@@ -291,12 +292,10 @@ TEST(SessionPipeline, ResilientModeMatchesTheDirectResilientPath)
     profiler::EmProfConfig resilient = golden::goldenConfig();
     resilient.signal.enabled = true;
 
-    // Reference: the in-memory chunked path on the same config.
-    const dsp::TimeSeries signal = golden::goldenSignal();
-    profiler::EmProf reference(resilient);
-    for (const auto s : signal.samples)
-        reference.push(s);
-    const profiler::ProfileResult ref = reference.finish();
+    // Reference: the per-sample streaming oracle on the same config.
+    const profiler::ProfileResult ref =
+        profiler::oracle::StreamingOracle::analyze(golden::goldenSignal(),
+                                                   resilient);
 
     profiler::EmProfConfig base = resilient;
     base.sampleRateHz = 1.0;

@@ -15,7 +15,9 @@
 #include <string>
 #include <vector>
 
+#include "../profiler/streaming_oracle.hpp"
 #include "dsp/rng.hpp"
+#include "profiler/parallel_analyzer.hpp"
 #include "store/capture_reader.hpp"
 #include "store/capture_writer.hpp"
 #include "store/crc32c.hpp"
@@ -270,6 +272,22 @@ TEST(CaptureStore, EmptyCaptureRoundTrips)
     EXPECT_TRUE(reader.readAll(loaded, &error)) << error;
     EXPECT_TRUE(loaded.samples.empty());
     EXPECT_TRUE(reader.verify().ok);
+
+    // Analysed, at one worker or four, it is the empty report.
+    const profiler::EmProfConfig config;
+    const auto reference =
+        profiler::oracle::StreamingOracle::analyze(empty, config);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        profiler::ParallelAnalyzerConfig pcfg;
+        pcfg.threads = threads;
+        profiler::ProfileResult result;
+        ASSERT_TRUE(profiler::analyzeCaptureParallel(reader, config,
+                                                     result, pcfg, &error))
+            << error;
+        EXPECT_TRUE(result.events.empty());
+        profiler::oracle::expectMatchesOracle(result, reference);
+    }
     std::remove(path.c_str());
 }
 

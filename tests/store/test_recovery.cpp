@@ -20,6 +20,7 @@
 #include "dsp/rng.hpp"
 #include "profiler/parallel_analyzer.hpp"
 #include "profiler/profiler.hpp"
+#include "../profiler/streaming_oracle.hpp"
 #include "store/capture_reader.hpp"
 #include "store/capture_writer.hpp"
 
@@ -328,7 +329,8 @@ TEST(Recovery, RecoveredReaderFeedsParallelAnalyzerIdentically)
     prefix.sampleRateHz = series.sampleRateHz;
     prefix.samples.assign(series.samples.begin(),
                           series.samples.begin() + 4000);
-    const auto streaming = profiler::EmProf::analyze(prefix, config);
+    const auto streaming =
+        profiler::oracle::StreamingOracle::analyze(prefix, config);
     ASSERT_GE(streaming.events.size(), 1u);
 
     profiler::ParallelAnalyzerConfig pcfg;

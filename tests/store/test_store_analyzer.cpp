@@ -1,10 +1,11 @@
 /**
  * @file
- * EMCAP → ParallelAnalyzer equivalence: feeding a lossless capture to
- * analyzeCapture must produce events bit-identical to loading the same
- * samples into memory and running the streaming analyzer — for any
- * stored chunk size and thread count, including stored chunks much
- * smaller than the analysis spans.  The AutoDecomposition tests run the
+ * EMCAP → analyzeCaptureParallel equivalence: feeding a lossless
+ * capture to the analyzer must produce events bit-identical to running
+ * the per-sample streaming oracle over the same samples in memory — for
+ * any stored chunk size and thread count, including stored chunks much
+ * smaller than the analysis spans, and for captures of about one
+ * normalisation window.  The AutoDecomposition tests run the
  * automatic per-worker span windows emprof_analyze uses, with several
  * spans per worker range.
  */
@@ -19,12 +20,15 @@
 #include "obs/metrics.hpp"
 #include "profiler/parallel_analyzer.hpp"
 #include "profiler/profiler.hpp"
+#include "../profiler/streaming_oracle.hpp"
 #include "store/capture_reader.hpp"
 #include "store/capture_writer.hpp"
 #include "store/emcap_format.hpp"
 
 namespace emprof::profiler {
 namespace {
+
+using oracle::StreamingOracle;
 
 EmProfConfig
 testConfig()
@@ -138,7 +142,7 @@ writeEmcap(const dsp::TimeSeries &sig, const char *name,
 TEST(StoreAnalyzer, EmcapMatchesStreamingAcrossChunkSizesAndThreads)
 {
     const auto sig = busySignalWithDips(50000, 1);
-    const auto streaming = EmProf::analyze(sig, testConfig());
+    const auto streaming = StreamingOracle::analyze(sig, testConfig());
 
     // Stored chunks both smaller and larger than the analysis spans;
     // span grouping must align to whatever is on disk.
@@ -167,7 +171,7 @@ TEST(StoreAnalyzer, EmcapMatchesStreamingAcrossChunkSizesAndThreads)
 TEST(StoreAnalyzer, ExplicitChunkSizeAlignsToStoredBoundaries)
 {
     const auto sig = busySignalWithDips(30000, 2);
-    const auto streaming = EmProf::analyze(sig, testConfig());
+    const auto streaming = StreamingOracle::analyze(sig, testConfig());
     const auto path = writeEmcap(sig, "aligned.emcap", 700);
     store::CaptureReader reader;
     std::string error;
@@ -191,8 +195,11 @@ TEST(StoreAnalyzer, ExplicitChunkSizeAlignsToStoredBoundaries)
 
 TEST(StoreAnalyzer, SingleThreadFallsBackToStreaming)
 {
+    // One worker no longer reads the capture whole: it runs the one
+    // range through a span window like any other worker count, and
+    // must still give the streaming result.
     const auto sig = busySignalWithDips(20000, 3);
-    const auto streaming = EmProf::analyze(sig, testConfig());
+    const auto streaming = StreamingOracle::analyze(sig, testConfig());
     const auto path = writeEmcap(sig, "fallback.emcap", 4096);
     store::CaptureReader reader;
     std::string error;
@@ -206,6 +213,49 @@ TEST(StoreAnalyzer, SingleThreadFallsBackToStreaming)
         << error;
     expectIdentical(result, streaming);
     std::remove(path.c_str());
+
+    // Captures of 1, 2, window - 1 and window + 1 samples, stored in
+    // chunks smaller and larger than the input: one range, decoded a
+    // chunk at a time, at every worker count.
+    const std::size_t w = testConfig().normWindowSamples();
+    for (const std::size_t n :
+         {std::size_t{1}, std::size_t{2}, w - 1, w + 1}) {
+        auto tiny = busySignalWithDips(n, 60 + n);
+        for (std::size_t i = n - std::min<std::size_t>(n, 9); i < n; ++i)
+            tiny.samples[i] = 0.2f; // a dip running off the end
+        for (const std::size_t stored :
+             {std::size_t{300}, std::size_t{4096}}) {
+            const auto tiny_path = writeEmcap(tiny, "tiny.emcap", stored);
+            store::CaptureReader tiny_reader;
+            ASSERT_TRUE(tiny_reader.open(tiny_path, &error)) << error;
+            for (const bool resilient : {false, true}) {
+                EmProfConfig config = testConfig();
+                config.signal.enabled = resilient;
+                const auto reference =
+                    StreamingOracle::analyze(tiny, config);
+                for (const std::size_t span :
+                     {std::size_t{0}, std::size_t{97}})
+                    for (const std::size_t threads :
+                         {std::size_t{1}, std::size_t{2},
+                          std::size_t{4}}) {
+                        SCOPED_TRACE(::testing::Message()
+                                     << "n=" << n << " stored=" << stored
+                                     << " span=" << span
+                                     << " threads=" << threads
+                                     << (resilient ? " resilient"
+                                                   : " classic"));
+                        ParallelAnalyzerConfig pcfg;
+                        pcfg.threads = threads;
+                        pcfg.chunkSamples = span;
+                        ASSERT_TRUE(analyzeCaptureParallel(
+                            tiny_reader, config, result, pcfg, &error))
+                            << error;
+                        oracle::expectMatchesOracle(result, reference);
+                    }
+            }
+            std::remove(tiny_path.c_str());
+        }
+    }
 }
 
 TEST(StoreAnalyzer, CorruptChunkFailsAnalysisWithError)
@@ -248,7 +298,6 @@ autoConfig(std::size_t threads)
 {
     ParallelAnalyzerConfig pcfg;
     pcfg.threads = threads;
-    pcfg.minParallelSamples = std::size_t{1} << 16;
     return pcfg;
 }
 
@@ -268,7 +317,8 @@ TEST(StoreAnalyzer, AutoDecompositionMatchesStreamingBitForBit)
     for (const bool resilient : {false, true}) {
         EmProfConfig config = testConfig();
         config.signal.enabled = resilient;
-        const ProfileResult reference = EmProf::analyze(sig, config);
+        const ProfileResult reference =
+            StreamingOracle::analyze(sig, config);
 
         // Stored chunks smaller than a span and not dividing it, equal
         // to it, and larger than it.
@@ -292,12 +342,10 @@ TEST(StoreAnalyzer, AutoDecompositionMatchesStreamingBitForBit)
                     << error;
                 expectBitIdentical(result, reference);
 
-                // The windowed path ran (it is skipped only by the
-                // scalar single-worker fallback), several spans deep.
+                // The windowed path ran, several spans deep.
                 const auto snap = registry.scrape();
                 const auto ranges = snap.gauges.find("parallel.chunks");
-                if (ranges == snap.gauges.end())
-                    continue;
+                ASSERT_NE(ranges, snap.gauges.end());
                 const auto spans =
                     snap.counters.find("analyzer.chunks_analyzed");
                 ASSERT_NE(spans, snap.counters.end());
