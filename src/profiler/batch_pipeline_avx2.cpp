@@ -111,8 +111,8 @@ struct Emitter
           prefixExit(config.exitThreshold)
     {}
 
-    /** Dip close: emit (classified) if long enough, mirror
-     *  DipDetector's metrics. */
+    /** Dip close: emit (classified) if long enough; count a short
+     *  one like DipDetector (kept dips are counted by the stitcher). */
     __attribute__((cold, noinline)) void
     closeDip(uint64_t start, uint64_t last, double sum, uint64_t cnt)
     {
@@ -126,16 +126,11 @@ struct Emitter
             classifyStall(ev, *cfg);
             r->events.push_back(ev);
         }
-        if (obs::MetricsRegistry::enabled()) {
-            auto &registry = obs::MetricsRegistry::instance();
-            static const obs::Counter found =
-                registry.counter("detector.dips_found");
+        if (!kept && obs::MetricsRegistry::enabled()) {
             static const obs::Counter rejected_short =
-                registry.counter("detector.dips_rejected.short_duration");
-            if (kept)
-                found.inc();
-            else
-                rejected_short.inc();
+                obs::MetricsRegistry::instance().counter(
+                    "detector.dips_rejected.short_duration");
+            rejected_short.inc();
         }
     }
 

@@ -6,28 +6,20 @@ namespace emprof::profiler {
 
 namespace {
 
-// Dip bookkeeping runs once per dip *close* — orders of magnitude
-// rarer than the per-sample push path, so a guarded counter update
-// here stays invisible in the throughput bench.
+// Runs once per dip *close* — orders of magnitude rarer than the
+// per-sample push path, so a guarded counter update here stays
+// invisible in the throughput bench.  Kept dips are counted where
+// ChunkStitcher keeps their events (stitch.cpp): a chunk-local close
+// may still be folded into a dip carried across a span boundary.
 void
-countDipOutcome(bool kept, bool at_finish)
+countShortDip()
 {
     if (!obs::MetricsRegistry::enabled())
         return;
-    auto &registry = obs::MetricsRegistry::instance();
-    static const obs::Counter found =
-        registry.counter("detector.dips_found");
     static const obs::Counter rejected_short =
-        registry.counter("detector.dips_rejected.short_duration");
-    static const obs::Counter flushed =
-        registry.counter("detector.dips_flushed_at_end");
-    if (kept) {
-        found.inc();
-        if (at_finish)
-            flushed.inc();
-    } else {
-        rejected_short.inc();
-    }
+        obs::MetricsRegistry::instance().counter(
+            "detector.dips_rejected.short_duration");
+    rejected_short.inc();
 }
 
 } // namespace
@@ -55,8 +47,9 @@ DipDetector::closeDip(StallEvent &out)
         config_.minDurationSamples) {
         fillEvent(out);
         emitted = true;
+    } else {
+        countShortDip();
     }
-    countDipOutcome(emitted, false);
     inDip_ = false;
     depthSum_ = 0.0;
     depthCount_ = 0;
@@ -82,11 +75,10 @@ DipDetector::finish(StallEvent &out)
         return false;
     inDip_ = false;
     if (dipLastBelowExit_ - dipStart_ + 1 < config_.minDurationSamples) {
-        countDipOutcome(false, true);
+        countShortDip();
         return false;
     }
     fillEvent(out);
-    countDipOutcome(true, true);
     return true;
 }
 

@@ -9,6 +9,28 @@
 
 namespace emprof::profiler {
 
+namespace {
+
+/** The stitcher decides which dips become events, so it is the one
+ *  place that counts them: @p found kept events, @p flushed of them
+ *  closed by the end of the input. */
+void
+countKeptDips(uint64_t found, uint64_t flushed)
+{
+    if (found == 0 || !obs::MetricsRegistry::enabled())
+        return;
+    auto &registry = obs::MetricsRegistry::instance();
+    static const obs::Counter found_counter =
+        registry.counter("detector.dips_found");
+    static const obs::Counter flushed_counter =
+        registry.counter("detector.dips_flushed_at_end");
+    found_counter.add(found);
+    if (flushed != 0)
+        flushed_counter.add(flushed);
+}
+
+} // namespace
+
 ChunkStitcher::ChunkStitcher(const EmProfConfig &config)
     : config_(config),
       // Same duration cut the chunk-local detectors used (the resilient
@@ -16,11 +38,11 @@ ChunkStitcher::ChunkStitcher(const EmProfConfig &config)
       minDuration_(config.effectiveMinDurationSamples())
 {}
 
-void
+bool
 ChunkStitcher::emitCarry()
 {
     if (carry_.lastBelowExit - carry_.start + 1 < minDuration_)
-        return;
+        return false;
     StallEvent ev;
     ev.startSample = carry_.start;
     ev.endSample = carry_.lastBelowExit;
@@ -30,6 +52,7 @@ ChunkStitcher::emitCarry()
                          static_cast<double>(carry_.depthCount);
     classifyStall(ev, config_);
     events_.push_back(ev);
+    return true;
 }
 
 void
@@ -47,7 +70,7 @@ ChunkStitcher::feed(const ChunkResult &chunk)
             ++carry_.depthCount;
         }
         if (chunk.prefixNorms.size() != chunk.end - chunk.begin) {
-            emitCarry();
+            countKeptDips(emitCarry() ? 1 : 0, 0);
             carry_ = DipDetector::DipState{};
             // Chunk-local events inside the prefix belong to the
             // carried dip, not to a fresh one.
@@ -60,14 +83,14 @@ ChunkStitcher::feed(const ChunkResult &chunk)
     if (!carry_.inDip) {
         // Chunk events are in start order, so the kept ones are a
         // suffix.
-        events_.insert(events_.end(),
-                       std::find_if(chunk.events.begin(),
-                                    chunk.events.end(),
-                                    [first_valid](const StallEvent &ev) {
-                                        return ev.startSample >=
-                                               first_valid;
-                                    }),
-                       chunk.events.end());
+        const auto kept =
+            std::find_if(chunk.events.begin(), chunk.events.end(),
+                         [first_valid](const StallEvent &ev) {
+                             return ev.startSample >= first_valid;
+                         });
+        countKeptDips(
+            static_cast<uint64_t>(chunk.events.end() - kept), 0);
+        events_.insert(events_.end(), kept, chunk.events.end());
         if (chunk.open.inDip && chunk.open.start >= first_valid)
             carry_ = chunk.open;
     }
@@ -82,7 +105,8 @@ ChunkStitcher::finalize(uint64_t totalSamples)
     EMPROF_OBS_STAGE("analyze.stitch_finalize");
     // Input ends mid-dip: same flush rule as DipDetector::finish().
     if (!finalized_ && carry_.inDip) {
-        emitCarry();
+        if (emitCarry())
+            countKeptDips(1, 1);
         carry_ = DipDetector::DipState{};
     }
     finalized_ = true;

@@ -76,7 +76,8 @@ class ChunkStitcher
     uint64_t carriedDips() const { return carriedDips_; }
 
   private:
-    void emitCarry();
+    /** Close the carried dip; true when it was long enough to keep. */
+    bool emitCarry();
 
     EmProfConfig config_;
     uint64_t minDuration_;

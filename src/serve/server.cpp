@@ -1,11 +1,13 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <optional>
 #include <random>
 
 #include <arpa/inet.h>
@@ -24,28 +26,50 @@
 
 namespace emprof::serve {
 
+using lifecycle::PumpOrder;
+using lifecycle::Reply;
+using lifecycle::SessionEvent;
+using State = lifecycle::SessionState;
+
 namespace {
 
-/** Handles registered once; no-ops while obs is disabled. */
+/** One row per ServerStats field, in scrape order: the field, its
+ *  emprof.serve.* metric and its StatsRequest line all come from it. */
+struct StatRow
+{
+    const char *name;
+    uint64_t ServerStats::*field;
+};
+
+constexpr StatRow kStatRows[] = {
+    {"emprof.serve.sessions_accepted", &ServerStats::sessionsAccepted},
+    {"emprof.serve.sessions_completed", &ServerStats::sessionsCompleted},
+    {"emprof.serve.sessions_rejected", &ServerStats::sessionsRejected},
+    {"emprof.serve.sessions_active", &ServerStats::sessionsActive},
+    {"emprof.serve.bytes_ingested", &ServerStats::bytesIngested},
+    {"emprof.serve.frames_malformed", &ServerStats::framesMalformed},
+    {"emprof.serve.sessions_parked", &ServerStats::sessionsParked},
+    {"emprof.serve.sessions_resumed", &ServerStats::sessionsResumed},
+    {"emprof.serve.results_spooled", &ServerStats::resultsSpooled},
+    {"emprof.serve.results_served_from_spool",
+     &ServerStats::resultsServedFromSpool},
+    {"emprof.serve.sessions_aborted", &ServerStats::sessionsAborted},
+    {"emprof.serve.sessions_timed_out", &ServerStats::sessionsTimedOut},
+    {"emprof.serve.sessions_shed", &ServerStats::sessionsShed},
+    {"emprof.serve.retry_after_sent", &ServerStats::retryAfterSent},
+    {"emprof.serve.accept_fd_exhausted", &ServerStats::acceptFdExhausted},
+    {"emprof.serve.results_spool_failed",
+     &ServerStats::resultsSpoolFailed},
+    {"emprof.serve.parked_evicted", &ServerStats::parkedEvicted},
+    {"emprof.serve.parked_expired", &ServerStats::parkedExpired},
+};
+constexpr std::size_t kStatCount = std::size(kStatRows);
+
+/** Handles registered once; no-ops while obs is disabled.  The
+ *  sessions_active row is a gauge; every other row a counter. */
 struct ServeMetrics
 {
-    obs::Counter accepted;
-    obs::Counter rejected;
-    obs::Counter aborted;
-    obs::Counter completed;
-    obs::Counter bytesIngested;
-    obs::Counter framesMalformed;
-    obs::Counter parked;
-    obs::Counter resumed;
-    obs::Counter spooled;
-    obs::Counter servedFromSpool;
-    obs::Counter timedOut;
-    obs::Counter shed;
-    obs::Counter retryAfterSent;
-    obs::Counter acceptFdExhausted;
-    obs::Counter spoolFailed;
-    obs::Counter parkedEvicted;
-    obs::Counter parkedExpired;
+    std::array<obs::Counter, kStatCount> counters;
     obs::Gauge sessionsActive;
     obs::Gauge queueDepthBytes;
     obs::Histogram sessionUs;
@@ -57,33 +81,11 @@ struct ServeMetrics
         static const ServeMetrics m = [] {
             auto &reg = obs::MetricsRegistry::instance();
             ServeMetrics v;
-            v.accepted = reg.counter("emprof.serve.sessions_accepted");
-            v.rejected = reg.counter("emprof.serve.sessions_rejected");
-            v.aborted = reg.counter("emprof.serve.sessions_aborted");
-            v.completed =
-                reg.counter("emprof.serve.sessions_completed");
-            v.bytesIngested = reg.counter("emprof.serve.bytes_ingested");
-            v.framesMalformed =
-                reg.counter("emprof.serve.frames_malformed");
-            v.parked = reg.counter("emprof.serve.sessions_parked");
-            v.resumed = reg.counter("emprof.serve.sessions_resumed");
-            v.spooled = reg.counter("emprof.serve.results_spooled");
-            v.servedFromSpool =
-                reg.counter("emprof.serve.results_served_from_spool");
-            v.timedOut = reg.counter("emprof.serve.sessions_timed_out");
-            v.shed = reg.counter("emprof.serve.sessions_shed");
-            v.retryAfterSent =
-                reg.counter("emprof.serve.retry_after_sent");
-            v.acceptFdExhausted =
-                reg.counter("emprof.serve.accept_fd_exhausted");
-            v.spoolFailed =
-                reg.counter("emprof.serve.results_spool_failed");
-            v.parkedEvicted =
-                reg.counter("emprof.serve.parked_evicted");
-            v.parkedExpired =
-                reg.counter("emprof.serve.parked_expired");
-            v.sessionsActive =
-                reg.gauge("emprof.serve.sessions_active");
+            for (std::size_t i = 0; i < kStatCount; ++i)
+                if (kStatRows[i].field == &ServerStats::sessionsActive)
+                    v.sessionsActive = reg.gauge(kStatRows[i].name);
+                else
+                    v.counters[i] = reg.counter(kStatRows[i].name);
             v.queueDepthBytes =
                 reg.gauge("emprof.serve.queue_depth_bytes");
             v.sessionUs =
@@ -112,10 +114,10 @@ setNonBlocking(int fd)
 }
 
 /**
- * Bound a blocking send on @p fd.  A shed session's peer is hostile
- * by definition — it may never read — so every typed-error write to
- * one must carry a timeout or the I/O thread wedges on a full socket
- * buffer (the one thread every session depends on).
+ * Bound a blocking send on @p fd.  Every reply goes out on the I/O
+ * thread — the one thread every session depends on — and a shed
+ * session's peer is hostile by definition (it may never read), so
+ * every session socket carries this timeout.
  */
 void
 setSendTimeoutMs(int fd, int ms)
@@ -126,8 +128,7 @@ setSendTimeoutMs(int fd, int ms)
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
-/** Send-timeout applied to typed-error writes toward hostile peers. */
-constexpr int kShedWriteTimeoutMs = 1000;
+constexpr int kSendTimeoutMs = 1000;
 
 SessionId
 randomSessionId()
@@ -150,12 +151,44 @@ randomSessionId()
     return id;
 }
 
+/** A pump's last word, posted once when it stops for good. */
+struct Completion
+{
+    SessionEvent event = SessionEvent::PumpStopped;
+    ErrorCode code{};            ///< PumpFailed
+    std::string message;         ///< PumpFailed
+    std::vector<uint8_t> report; ///< PumpReport: the Report payload
+    bool spooled = false;        ///< PumpReport: made durable
+    std::optional<std::string> spoolError; ///< PumpReport: append failed
+};
+
 } // namespace
 
-struct Server::Listener
+/** A reply, rendered: its frames, and the ErrorCode an Error carries
+ *  (counted with it). */
+struct Server::Outbound
 {
-    int fd = -1;
-    bool tcp = false;
+    std::vector<Frame> frames;
+    ErrorCode error{};
+
+    Outbound() = default;
+
+    Outbound(FrameType type, std::vector<uint8_t> payload)
+    {
+        frames.push_back({type, std::move(payload)});
+    }
+
+    static Outbound
+    failure(ErrorCode code, const std::string &message,
+            uint32_t retryAfterMs = 0)
+    {
+        Outbound out(FrameType::Error,
+                     code == ErrorCode::RetryAfter
+                         ? encodeRetryAfterPayload(retryAfterMs, message)
+                         : encodeErrorPayload(code, message));
+        out.error = code;
+        return out;
+    }
 };
 
 struct Server::Session
@@ -166,57 +199,45 @@ struct Server::Session
             ::close(fd);
     }
 
-    int fd = -1;
+    /** Written only by Server::advance(), on the I/O thread. */
+    lifecycle::SessionState state = State::Handshake;
+
+    // ---- I/O-thread-only ----
+    int fd = -1; ///< closed when the session parks or ends
+    SessionId id{}; ///< assigned (or adopted) at Open
     std::chrono::steady_clock::time_point openedAt;
-
-    // ---- I/O-thread-only state ----
     std::vector<uint8_t> inbox; ///< unparsed bytes off the socket
-    bool openSeen = false;
-    bool suspended = false; ///< reads paused (backpressure)
-    SessionId id{};         ///< assigned (or adopted) at Open
+    bool suspended = false;     ///< Uploading, reads paused
+    /** A resume waiting for another connection to let go of its id. */
+    std::optional<OpenRequest> heldOpen;
+    /** Draining: the event settled once the pump stops, its reply. */
+    SessionEvent deferred = SessionEvent::PeerEof;
+    Outbound deferredReply;
+    /** Parked: the durable resume offset and the expiry instant. */
+    uint64_t resumeOffset = 0;
+    std::chrono::steady_clock::time_point parkedUntil;
 
-    // ---- I/O-thread-only overload bookkeeping ----
-    /** Last instant bytes arrived (or a server-side stall — pump or
-     *  backpressure — excused the silence). */
+    /** Overload bookkeeping.  lastProgressAt: the last instant bytes
+     *  arrived, or a server-side stall excused the silence. */
     std::chrono::steady_clock::time_point lastProgressAt;
     uint64_t socketBytesRead = 0; ///< raw bytes read off the socket
     std::chrono::steady_clock::time_point rateWindowStart;
     uint64_t rateWindowBase = 0; ///< socketBytesRead at window start
 
-    // ---- shared queue (mutex-guarded) ----
+    /** The pump's while work.running, the I/O thread's otherwise. */
+    std::unique_ptr<SessionPipeline> pipeline;
+
+    // ---- the work queue: shared with the pump, under mutex ----
     std::mutex mutex;
-    std::deque<std::vector<uint8_t>> pending; ///< Data payloads
-    std::size_t pendingBytes = 0;
-    bool finishRequested = false;
-    bool taskInFlight = false;
-
-    /** Set (under mutex) by the I/O thread before aborted when a
-     *  pump-owned session is shed, so the pump's abort path replies
-     *  with the shed's typed error instead of generic Shutdown. */
-    uint32_t shedCode = 0; ///< ErrorCode; 0 = not a shed
-    std::string shedMessage;
-    uint32_t shedRetryAfterMs = 0;
-
-    // ---- cross-thread flags ----
-    std::atomic<bool> closed{false};  ///< reap me (I/O thread acts)
-    std::atomic<bool> aborted{false}; ///< server shutting down
-    std::atomic<bool> replied{false}; ///< Report or Error was sent
-
-    /** Worker-owned after Open (the pump is the only caller). */
-    std::unique_ptr<SessionPipeline> pipeline;
-};
-
-/**
- * A disconnected session's analysis state, waiting for its client to
- * reconnect.  Held in parked_ until resumed, expired (TTL) or evicted
- * (maxParked).
- */
-struct Server::Parked
-{
-    std::unique_ptr<SessionPipeline> pipeline;
-    uint64_t resumeOffset = 0;  ///< element-aligned durable offset
-    bool resilient = false;     ///< must match the resuming Open
-    std::chrono::steady_clock::time_point deadline;
+    struct Work
+    {
+        std::deque<std::vector<uint8_t>> data; ///< Data payloads
+        std::size_t bytes = 0;                  ///< their total
+        bool finish = false;                    ///< the Finish entry
+        PumpOrder stop = PumpOrder::None;       ///< Drain or Abandon
+        bool running = false; ///< a pump task is queued or running
+        std::optional<Completion> completion; ///< its last word
+    } work;
 };
 
 Server::Server(ServerConfig config) : config_(std::move(config)) {}
@@ -229,8 +250,8 @@ Server::start(std::string *error)
     const auto fail = [&](const std::string &message) {
         if (error != nullptr)
             *error = message;
-        for (auto &l : listeners_)
-            ::close(l.fd);
+        for (const int fd : listeners_)
+            ::close(fd);
         listeners_.clear();
         for (int &fd : wakePipe_) {
             if (fd >= 0)
@@ -239,6 +260,24 @@ Server::start(std::string *error)
         }
         spool_.close();
         return false;
+    };
+
+    const auto listenOn = [&](int fd, const sockaddr *addr,
+                              socklen_t len, const std::string &what) {
+        if (fd < 0)
+            return fail(std::string("socket failed: ") +
+                        std::strerror(errno));
+        const int one = 1; // a no-op for unix sockets
+        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+        if (::bind(fd, addr, len) != 0 || ::listen(fd, 128) != 0) {
+            const int e = errno;
+            ::close(fd);
+            return fail("cannot listen on " + what + ": " +
+                        std::strerror(e));
+        }
+        setNonBlocking(fd);
+        listeners_.push_back(fd);
+        return true;
     };
 
     if (running_.load())
@@ -269,48 +308,26 @@ Server::start(std::string *error)
         std::strncpy(addr.sun_path, config_.unixPath.c_str(),
                      sizeof(addr.sun_path) - 1);
         const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd < 0)
-            return fail(std::string("socket failed: ") +
-                        std::strerror(errno));
         ::unlink(config_.unixPath.c_str()); // stale socket from a crash
-        if (::bind(fd, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof(addr)) != 0 ||
-            ::listen(fd, 128) != 0) {
-            const int e = errno;
-            ::close(fd);
-            return fail("cannot listen on " + config_.unixPath + ": " +
-                        std::strerror(e));
-        }
-        setNonBlocking(fd);
-        listeners_.push_back({fd, false});
+        if (!listenOn(fd, reinterpret_cast<sockaddr *>(&addr),
+                      sizeof(addr), config_.unixPath))
+            return false;
     }
 
     if (config_.tcpPort >= 0) {
         const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0)
-            return fail(std::string("socket failed: ") +
-                        std::strerror(errno));
-        const int one = 1;
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
         sockaddr_in addr{};
         addr.sin_family = AF_INET;
         addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
         addr.sin_port =
             htons(static_cast<uint16_t>(config_.tcpPort));
-        if (::bind(fd, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof(addr)) != 0 ||
-            ::listen(fd, 128) != 0) {
-            const int e = errno;
-            ::close(fd);
-            return fail("cannot listen on tcp port " +
-                        std::to_string(config_.tcpPort) + ": " +
-                        std::strerror(e));
-        }
+        if (!listenOn(fd, reinterpret_cast<sockaddr *>(&addr),
+                      sizeof(addr),
+                      "tcp port " + std::to_string(config_.tcpPort)))
+            return false;
         socklen_t len = sizeof(addr);
         ::getsockname(fd, reinterpret_cast<sockaddr *>(&addr), &len);
         boundTcpPort_ = static_cast<int>(ntohs(addr.sin_port));
-        setNonBlocking(fd);
-        listeners_.push_back({fd, true});
     }
 
     governor_.configure(config_.watermarks);
@@ -338,47 +355,33 @@ Server::stop()
     if (ioThread_.joinable())
         ioThread_.join();
 
-    // Tell in-flight sessions to bail, then run the pool dry so every
-    // pump observes the abort and replies Shutdown before its session
-    // (and fd) is released.
-    {
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
-        for (auto &s : sessions_)
-            s->aborted.store(true);
-    }
+    // The I/O thread is gone and this thread takes its place.  Idle
+    // sessions are answered Shutdown now; a running pump is told to
+    // abandon its queue, and once the pool has run dry each pump's
+    // completion is settled like any other: its report if that came
+    // first, Shutdown otherwise.
+    for (std::size_t i = 0; i < sessions_.size(); ++i)
+        advance(sessions_[i], SessionEvent::Stop,
+                Outbound::failure(ErrorCode::Shutdown,
+                                  "server shutting down"));
     pool_->drain();
-
-    std::vector<std::shared_ptr<Session>> leftovers;
-    {
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
-        leftovers.swap(sessions_);
-        stats_.sessionsActive = 0;
-    }
-    for (auto &s : leftovers) {
-        if (s->openSeen && !s->replied.load()) {
-            const auto payload = encodeErrorPayload(
-                ErrorCode::Shutdown, "server shutting down");
-            writeFrame(s->fd, FrameType::Error, payload.data(),
-                       payload.size());
-            std::lock_guard<std::mutex> lock(sessionsMutex_);
-            ++stats_.sessionsRejected;
-        }
-    }
-    leftovers.clear(); // destructors close the fds
+    for (std::size_t i = 0; i < sessions_.size(); ++i)
+        settlePump(sessions_[i]);
+    sessions_.clear();
 
     // Parked pipelines die with the process anyway on a real restart;
     // dropping them is safe because a resume of an unknown id simply
     // starts the upload over from offset 0.
-    std::map<std::string, std::shared_ptr<Parked>> parked;
-    {
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
-        parked.swap(parked_);
-    }
-    parked.clear();
+    parked_.clear();
     spool_.close();
+    {
+        std::lock_guard<std::mutex> lock(statsMutex_);
+        stats_.sessionsActive = 0;
+    }
+    ServeMetrics::instance().sessionsActive.set(0);
 
-    for (auto &l : listeners_)
-        ::close(l.fd);
+    for (const int fd : listeners_)
+        ::close(fd);
     listeners_.clear();
     if (!config_.unixPath.empty())
         ::unlink(config_.unixPath.c_str());
@@ -391,14 +394,23 @@ Server::stop()
         ::close(emergencyFd_);
         emergencyFd_ = -1;
     }
-    ServeMetrics::instance().sessionsActive.set(0);
 }
 
 ServerStats
 Server::stats() const
 {
-    std::lock_guard<std::mutex> lock(sessionsMutex_);
+    std::lock_guard<std::mutex> lock(statsMutex_);
     return stats_;
+}
+
+uint64_t
+Server::count(uint64_t ServerStats::*field, uint64_t n)
+{
+    for (std::size_t i = 0; i < kStatCount; ++i)
+        if (kStatRows[i].field == field)
+            ServeMetrics::instance().counters[i].add(n);
+    std::lock_guard<std::mutex> lock(statsMutex_);
+    return stats_.*field += n;
 }
 
 void
@@ -413,7 +425,7 @@ void
 Server::ioLoop()
 {
     std::vector<pollfd> fds;
-    std::vector<std::shared_ptr<Session>> polled;
+    std::vector<SessionPtr> polled;
 
     while (!stopping_.load()) {
         fds.clear();
@@ -423,36 +435,27 @@ Server::ioLoop()
         // arithmetic below is unconditional; it just cannot wake us.
         const bool listeners_muted =
             std::chrono::steady_clock::now() < listenerMuteUntil_;
-        for (const auto &l : listeners_)
+        for (const int fd : listeners_)
             fds.push_back(
-                {l.fd,
-                 static_cast<short>(listeners_muted ? 0 : POLLIN), 0});
+                {fd, static_cast<short>(listeners_muted ? 0 : POLLIN), 0});
 
+        // Settle posted completions, then poll exactly the sessions
+        // whose state is polled: never a Finishing, Draining or
+        // Parked one, a backpressured one or a held resume.
         std::size_t queue_bytes = 0;
-        {
-            std::lock_guard<std::mutex> lock(sessionsMutex_);
-            for (const auto &s : sessions_) {
-                if (s->closed.load())
-                    continue;
-                std::size_t pending_bytes;
-                {
-                    std::lock_guard<std::mutex> qlock(s->mutex);
-                    pending_bytes = s->pendingBytes;
-                }
-                queue_bytes += pending_bytes;
-                // Hysteresis: stop reading at the budget, resume
-                // only once the pump drained below half of it.
-                if (!s->suspended &&
-                    pending_bytes >= config_.sessionBufferBytes)
-                    s->suspended = true;
-                else if (s->suspended &&
-                         pending_bytes <=
-                             config_.sessionBufferBytes / 2)
-                    s->suspended = false;
-                fds.push_back(
-                    {s->fd,
-                     static_cast<short>(s->suspended ? 0 : POLLIN),
-                     0});
+        for (std::size_t i = 0; i < sessions_.size(); ++i) {
+            const SessionPtr s = sessions_[i];
+            const std::size_t queued = settlePump(s);
+            queue_bytes += queued;
+            // Hysteresis: stop reading at the budget, resume only once
+            // the pump drained below half of it.
+            if (queued >= config_.sessionBufferBytes)
+                s->suspended = true;
+            else if (queued <= config_.sessionBufferBytes / 2)
+                s->suspended = false;
+            if (lifecycle::polled(s->state) && !s->suspended &&
+                !s->heldOpen) {
+                fds.push_back({s->fd, POLLIN, 0});
                 polled.push_back(s);
             }
         }
@@ -468,106 +471,231 @@ Server::ioLoop()
             break;
 
         std::size_t idx = 0;
-        if (fds[idx].revents & POLLIN) {
-            char buf[64];
-            while (::read(wakePipe_[0], buf, sizeof(buf)) > 0) {
+        char drain[64];
+        if (fds[idx++].revents & POLLIN)
+            while (::read(wakePipe_[0], drain, sizeof(drain)) > 0) {
             }
-        }
-        ++idx;
-        for (const auto &l : listeners_) {
-            if (fds[idx].revents & POLLIN)
-                acceptPending(l.fd);
-            ++idx;
-        }
-        for (std::size_t i = 0; i < polled.size(); ++i) {
-            const short got = fds[idx + i].revents;
-            if (got & (POLLIN | POLLHUP | POLLERR))
+        for (const int fd : listeners_)
+            if (fds[idx++].revents & POLLIN)
+                acceptPending(fd);
+        for (std::size_t i = 0; i < polled.size(); ++i)
+            if (fds[idx + i].revents & (POLLIN | POLLHUP | POLLERR))
                 handleReadable(polled[i]);
-        }
 
-        enforceOverload(polled);
+        enforceOverload();
 
-        // Reap sessions whose pump (or this loop) marked them closed.
+        // Reap sessions that parked or ended.
+        std::erase_if(sessions_, [](const SessionPtr &s) {
+            return s->state == State::Parked || s->state == State::Done;
+        });
+        const std::size_t active = activeSessions();
         {
-            std::lock_guard<std::mutex> lock(sessionsMutex_);
-            std::size_t active = 0;
-            auto keep = sessions_.begin();
-            for (auto &s : sessions_) {
-                if (s->closed.load())
-                    continue; // dropped; dtor closes the fd later
-                if (s->openSeen)
-                    ++active;
-                *keep++ = s;
-            }
-            sessions_.erase(keep, sessions_.end());
+            std::lock_guard<std::mutex> lock(statsMutex_);
             stats_.sessionsActive = active;
-            ServeMetrics::instance().sessionsActive.set(
-                static_cast<int64_t>(active));
         }
+        ServeMetrics::instance().sessionsActive.set(
+            static_cast<int64_t>(active));
         purgeParked();
     }
+}
+
+std::size_t
+Server::activeSessions() const
+{
+    return static_cast<std::size_t>(std::count_if(
+        sessions_.begin(), sessions_.end(),
+        [](const SessionPtr &s) { return lifecycle::holdsId(s->state); }));
+}
+
+std::size_t
+Server::settlePump(const SessionPtr &session)
+{
+    std::optional<Completion> done;
+    std::size_t queued = 0;
+    {
+        std::lock_guard<std::mutex> lock(session->mutex);
+        queued = session->work.bytes;
+        done.swap(session->work.completion);
+        if (done)
+            session->work.running = false;
+    }
+    if (!done)
+        return queued;
+    switch (done->event) {
+    case SessionEvent::PumpReport: {
+        // Counted before the Report leaves, like the completion.  A
+        // spool failure (disk full, ...) only loses crash recovery: the
+        // reply still goes out, logged once on healthy → degraded.
+        if (done->spooled)
+            count(&ServerStats::resultsSpooled);
+        if (done->spoolError &&
+            count(&ServerStats::resultsSpoolFailed) == 1)
+            std::fprintf(stderr,
+                         "emprof_served: result spool append failed "
+                         "(%s); serving non-durably\n",
+                         done->spoolError->c_str());
+        advance(session, SessionEvent::PumpReport,
+                Outbound(FrameType::Report, std::move(done->report)));
+        break;
+    }
+    case SessionEvent::PumpFailed:
+        advance(session, SessionEvent::PumpFailed,
+                Outbound::failure(done->code, done->message));
+        break;
+    default:
+        advance(session, SessionEvent::PumpStopped, {});
+        break;
+    }
+    return queued;
+}
+
+void
+Server::advance(const SessionPtr &s, SessionEvent event, Outbound reply,
+                std::vector<uint8_t> data)
+{
+    lifecycle::SessionFacts facts;
+    facts.deferred = s->deferred;
+    lifecycle::Step step;
+    bool submit = false;
+    {
+        // Facts and orders under one lock hold: a pump cannot go idle
+        // between "it runs" and "tell it to stop", and the pipeline is
+        // only looked at once no pump owns it.
+        std::lock_guard<std::mutex> lock(s->mutex);
+        Session::Work &work = s->work;
+        facts.pumpRunning = work.running;
+        facts.parkable = !work.running && s->pipeline != nullptr &&
+                         !s->pipeline->poisoned() && !stopping_.load();
+        step = lifecycle::advance(s->state, event, facts);
+        if (step.pump == PumpOrder::Feed) {
+            if (event == SessionEvent::Data) {
+                work.bytes += data.size();
+                work.data.push_back(std::move(data));
+            } else {
+                work.finish = true;
+            }
+            submit = !work.running;
+            work.running = true;
+        } else if (step.pump != PumpOrder::None) {
+            work.stop = std::max(work.stop, step.pump);
+        }
+    }
+    // The future is dropped: the pump reports through its completion,
+    // and stop() never schedules, so no PoolDrained rejection occurs.
+    if (submit)
+        (void)pool_->submit([this, s] { pump(s); });
+
+    const State from = s->state;
+    s->state = step.next;
+    if (step.next == State::Draining) {
+        if (from != State::Draining) {
+            s->deferred = event;
+            s->deferredReply = std::move(reply);
+        }
+        return;
+    }
+    if (event == SessionEvent::PumpStopped && from == State::Draining) {
+        event = s->deferred;
+        reply = std::move(s->deferredReply);
+    }
+    if (from == State::Handshake && step.next == State::Uploading)
+        count(&ServerStats::sessionsAccepted);
+
+    // Count the outcome BEFORE the reply leaves the socket: a client
+    // holding its Report or Error must see the counter already bumped.
+    // A failed write means the peer hung up; the outcome stands.
+    const bool ends = from != State::Parked && from != State::Done &&
+                      (step.next == State::Parked ||
+                       step.next == State::Done);
+    if (step.reply == Reply::Report)
+        count(&ServerStats::sessionsCompleted);
+    if (step.reply == Reply::Error) {
+        count(&ServerStats::sessionsRejected);
+        if (reply.error == ErrorCode::RetryAfter)
+            count(&ServerStats::retryAfterSent);
+    }
+    if (ends && step.reply == Reply::None &&
+        step.next == State::Done && event == SessionEvent::PeerEof &&
+        s->socketBytesRead > 0) {
+        // Spoke, then died with nothing said and nothing parkable (a
+        // torn handshake, say).  Zero-byte connects count nowhere.
+        count(&ServerStats::sessionsAborted);
+    }
+    if (step.reply != Reply::None && s->fd >= 0)
+        for (const Frame &f : reply.frames)
+            if (!writeFrame(s->fd, f.type, f.payload.data(),
+                            f.payload.size()))
+                break;
+    if (step.reply == Reply::Report)
+        ServeMetrics::instance().sessionUs.observe(elapsedUs(s->openedAt));
+
+    if (!ends)
+        return;
+    if (s->fd >= 0) {
+        ::close(s->fd);
+        s->fd = -1;
+    }
+    if (step.next == State::Parked)
+        park(s);
+    else
+        s->pipeline.reset();
+    if (lifecycle::holdsId(from) && !stopping_.load())
+        releaseHeldOpens(s->id);
+}
+
+void
+Server::park(const SessionPtr &session)
+{
+    // Shed ≠ forgotten, hang-up ≠ lost: the pipeline waits for a
+    // resume, keyed by id, its partial element dropped.
+    count(&ServerStats::sessionsParked);
+    session->resumeOffset = session->pipeline->rewindToResumable();
+    session->parkedUntil =
+        std::chrono::steady_clock::now() +
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double>(config_.resumeTtlSeconds));
+    session->inbox = {};
+    if (parked_.size() >= config_.maxParked && !parked_.empty()) {
+        // Evict the entry closest to expiry; its client falls back to
+        // a fresh upload from offset 0.
+        const auto oldest = std::min_element(
+            parked_.begin(), parked_.end(), [](const auto &a, const auto &b) {
+                return a.second->parkedUntil < b.second->parkedUntil;
+            });
+        parked_.erase(oldest);
+        count(&ServerStats::parkedEvicted);
+    }
+    parked_[sessionIdToHex(session->id)] = session;
 }
 
 void
 Server::purgeParked()
 {
-    // Collect expired entries under the lock, destroy them outside it
-    // (a pipeline teardown is not free).
-    std::vector<std::shared_ptr<Parked>> expired;
     const auto now = std::chrono::steady_clock::now();
-    {
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
-        for (auto it = parked_.begin(); it != parked_.end();) {
-            if (it->second->deadline <= now) {
-                expired.push_back(std::move(it->second));
-                it = parked_.erase(it);
-            } else {
-                ++it;
-            }
+    for (auto it = parked_.begin(); it != parked_.end();) {
+        if (it->second->parkedUntil > now) {
+            ++it;
+            continue;
         }
-        stats_.parkedExpired += expired.size();
+        it = parked_.erase(it);
+        count(&ServerStats::parkedExpired);
     }
-    if (!expired.empty())
-        ServeMetrics::instance().parkedExpired.add(
-            static_cast<int64_t>(expired.size()));
-    expired.clear();
 }
 
 void
-Server::parkSession(const std::shared_ptr<Session> &session)
+Server::releaseHeldOpens(const SessionId &id)
 {
-    auto parked = std::make_shared<Parked>();
-    parked->resumeOffset = session->pipeline->rewindToResumable();
-    parked->resilient = session->pipeline->resilient();
-    parked->pipeline = std::move(session->pipeline);
-    parked->deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(config_.resumeTtlSeconds));
-
-    std::shared_ptr<Parked> evicted;
-    {
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
-        if (parked_.size() >= config_.maxParked) {
-            // Evict the entry closest to expiry; its client falls
-            // back to a fresh upload from offset 0.
-            auto oldest = parked_.begin();
-            for (auto it = parked_.begin(); it != parked_.end(); ++it)
-                if (it->second->deadline < oldest->second->deadline)
-                    oldest = it;
-            evicted = std::move(oldest->second);
-            parked_.erase(oldest);
-            ++stats_.parkedEvicted;
-        }
-        parked_[sessionIdToHex(session->id)] = std::move(parked);
-        ++stats_.sessionsParked;
+    for (std::size_t i = 0; i < sessions_.size(); ++i) {
+        const SessionPtr waiter = sessions_[i];
+        if (!waiter->heldOpen ||
+            std::memcmp(waiter->heldOpen->sessionId, id.data(),
+                        id.size()) != 0)
+            continue;
+        const OpenRequest open = *waiter->heldOpen;
+        waiter->heldOpen.reset();
+        handleOpen(waiter, open);
+        processInbox(waiter);
     }
-    if (evicted)
-        ServeMetrics::instance().parkedEvicted.inc();
-    ServeMetrics::instance().parked.inc();
-    session->replied.store(true); // no reply possible; don't count it
-    session->closed.store(true);
-    evicted.reset();
 }
 
 void
@@ -595,33 +723,22 @@ Server::acceptPending(int listenFd)
                 // nothing.  Spend the emergency fd to accept ONE
                 // waiting connection and tell it (typed RetryAfter)
                 // to come back, then mute the listener for a tick.
-                {
-                    std::lock_guard<std::mutex> lock(sessionsMutex_);
-                    ++stats_.acceptFdExhausted;
-                }
-                const auto &metrics = ServeMetrics::instance();
-                metrics.acceptFdExhausted.inc();
+                count(&ServerStats::acceptFdExhausted);
                 if (emergencyFd_ >= 0) {
                     ::close(emergencyFd_);
                     emergencyFd_ = -1;
                     const int efd =
                         ::accept(listenFd, nullptr, nullptr);
                     if (efd >= 0) {
-                        setSendTimeoutMs(efd, kShedWriteTimeoutMs);
+                        setSendTimeoutMs(efd, kSendTimeoutMs);
                         const auto payload = encodeRetryAfterPayload(
                             governor_.watermarks().retryAfterBaseMs,
                             "server out of file descriptors; "
                             "retry later");
                         writeFrame(efd, FrameType::Error,
                                    payload.data(), payload.size());
-                        {
-                            std::lock_guard<std::mutex> lock(
-                                sessionsMutex_);
-                            ++stats_.retryAfterSent;
-                            ++stats_.sessionsRejected;
-                        }
-                        metrics.retryAfterSent.inc();
-                        metrics.rejected.inc();
+                        count(&ServerStats::retryAfterSent);
+                        count(&ServerStats::sessionsRejected);
                         ::close(efd);
                     }
                     emergencyFd_ =
@@ -638,361 +755,210 @@ Server::acceptPending(int listenFd)
                                  std::chrono::milliseconds(200);
             return;
         }
+        setSendTimeoutMs(fd, kSendTimeoutMs);
         auto session = std::make_shared<Session>();
         session->fd = fd;
         session->openedAt = std::chrono::steady_clock::now();
         session->lastProgressAt = session->openedAt;
         session->rateWindowStart = session->openedAt;
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
         sessions_.push_back(std::move(session));
     }
 }
 
 void
-Server::rejectAndClose(const std::shared_ptr<Session> &session,
-                       uint32_t code, const std::string &message,
-                       uint32_t retryAfterMs)
+Server::handleReadable(const SessionPtr &session)
 {
-    if (!session->replied.exchange(true)) {
-        const auto ec = static_cast<ErrorCode>(code);
-        const auto payload =
-            ec == ErrorCode::RetryAfter
-                ? encodeRetryAfterPayload(retryAfterMs, message)
-                : encodeErrorPayload(ec, message);
-        writeFrame(session->fd, FrameType::Error, payload.data(),
-                   payload.size());
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
-        ++stats_.sessionsRejected;
-        if (ec == ErrorCode::RetryAfter)
-            ++stats_.retryAfterSent;
-        ServeMetrics::instance().rejected.inc();
-        if (ec == ErrorCode::RetryAfter)
-            ServeMetrics::instance().retryAfterSent.inc();
-    }
-    session->closed.store(true);
-}
-
-void
-Server::handleReadable(const std::shared_ptr<Session> &session)
-{
-    if (session->closed.load())
-        return;
+    if (!lifecycle::polled(session->state) || session->heldOpen)
+        return; // settled earlier in this iteration
 
     uint8_t buf[64 * 1024];
     const ssize_t n = ::read(session->fd, buf, sizeof(buf));
-    if (n <= 0) {
-        if (n < 0 && (errno == EINTR || errno == EAGAIN))
-            return;
-        // EOF or read error: the connection is gone mid-session.  If
-        // the pump still owns the session (task in flight, or Finish
-        // already queued), leave it alone — the fd stays readable, so
-        // this branch re-runs every poll iteration until the pump has
-        // either replied (result then sits in the spool) or drained
-        // every received byte, at which point the pipeline can be
-        // parked for a resume.  Parking instead of rejecting is what
-        // turns a dropped connection into a recoverable event.
-        bool pump_owns;
-        {
-            std::lock_guard<std::mutex> qlock(session->mutex);
-            pump_owns =
-                session->taskInFlight || session->finishRequested;
-        }
-        if (pump_owns)
-            return;
-        if (session->openSeen && !session->replied.load() &&
-            session->pipeline != nullptr &&
-            !session->pipeline->poisoned() && !stopping_.load()) {
-            parkSession(session);
-            return;
-        }
-        if (session->socketBytesRead > 0 &&
-            !session->replied.exchange(true)) {
-            // The connection spoke, then died with nothing said (and
-            // no parkable session): an abort, distinct from the
-            // typed-Error rejections.  Covers both an unparkable
-            // opened session and a handshake torn mid-Open — the
-            // reconnect herd's signature.  Zero-byte connects (port
-            // scanners, TCP health checks) stay uncounted.
-            std::lock_guard<std::mutex> lock(sessionsMutex_);
-            ++stats_.sessionsAborted;
-            ServeMetrics::instance().aborted.inc();
-        }
-        session->closed.store(true);
+    if (n < 0 && (errno == EINTR || errno == EAGAIN))
         return;
-    }
-
+    if (n <= 0) // EOF or read error: park, or drain first (Draining)
+        return advance(session, SessionEvent::PeerEof, {});
     session->lastProgressAt = std::chrono::steady_clock::now();
     session->socketBytesRead += static_cast<uint64_t>(n);
     session->inbox.insert(session->inbox.end(), buf, buf + n);
+    processInbox(session);
+}
 
-    for (;;) {
+void
+Server::processInbox(const SessionPtr &session)
+{
+    const auto refuse = [&](const std::string &message) {
+        advance(session, SessionEvent::ProtocolError,
+                Outbound::failure(ErrorCode::Malformed, message));
+    };
+    while (lifecycle::polled(session->state) && !session->heldOpen) {
         Frame frame;
         std::string parse_error;
         const long consumed =
-            parseFrame(session->inbox.data(), session->inbox.size(),
-                       frame, &parse_error);
+            parseFrame(session->inbox.data(), session->inbox.size(), frame,
+                       &parse_error);
         if (consumed == 0)
-            return; // incomplete; wait for more bytes
+            break; // incomplete; wait for more bytes
         if (consumed < 0) {
-            {
-                std::lock_guard<std::mutex> lock(sessionsMutex_);
-                ++stats_.framesMalformed;
-            }
-            ServeMetrics::instance().framesMalformed.inc();
-            rejectAndClose(session,
-                           static_cast<uint32_t>(ErrorCode::Malformed),
-                           parse_error);
-            return;
+            count(&ServerStats::framesMalformed);
+            refuse(parse_error);
+            break;
         }
         session->inbox.erase(session->inbox.begin(),
                              session->inbox.begin() + consumed);
+        const bool opened = session->state != State::Handshake;
 
         switch (frame.type) {
         case FrameType::Open: {
-            if (session->openSeen ||
-                frame.payload.size() != sizeof(OpenRequest)) {
-                rejectAndClose(
-                    session,
-                    static_cast<uint32_t>(ErrorCode::Malformed),
-                    session->openSeen ? "duplicate Open frame"
-                                      : "bad Open payload");
-                return;
+            if (opened || frame.payload.size() != sizeof(OpenRequest)) {
+                refuse(opened ? "duplicate Open frame"
+                              : "bad Open payload");
+                break;
             }
             OpenRequest open{};
             std::memcpy(&open, frame.payload.data(), sizeof(open));
             handleOpen(session, open);
-            if (session->closed.load() || session->replied.load())
-                return;
             break;
         }
-        case FrameType::Data: {
-            if (!session->openSeen) {
-                rejectAndClose(
-                    session,
-                    static_cast<uint32_t>(ErrorCode::Malformed),
-                    "Data before Open");
-                return;
+        case FrameType::Data:
+            if (!opened) {
+                refuse("Data before Open");
+                break;
             }
-            const std::size_t bytes = frame.payload.size();
-            {
-                std::lock_guard<std::mutex> qlock(session->mutex);
-                session->pending.push_back(std::move(frame.payload));
-                session->pendingBytes += bytes;
-            }
-            {
-                std::lock_guard<std::mutex> lock(sessionsMutex_);
-                stats_.bytesIngested += bytes;
-            }
-            ServeMetrics::instance().bytesIngested.add(bytes);
-            schedulePump(session);
+            count(&ServerStats::bytesIngested, frame.payload.size());
+            advance(session, SessionEvent::Data, {},
+                    std::move(frame.payload));
             break;
-        }
-        case FrameType::Finish: {
-            if (!session->openSeen) {
-                rejectAndClose(
-                    session,
-                    static_cast<uint32_t>(ErrorCode::Malformed),
-                    "Finish before Open");
-                return;
-            }
-            {
-                std::lock_guard<std::mutex> qlock(session->mutex);
-                session->finishRequested = true;
-            }
-            schedulePump(session);
+        case FrameType::Finish:
+            if (!opened)
+                refuse("Finish before Open");
+            else
+                advance(session, SessionEvent::Finish, {});
             break;
-        }
         case FrameType::StatsRequest: {
             std::string text;
-            {
-                std::lock_guard<std::mutex> lock(sessionsMutex_);
-                text += "emprof.serve.sessions_accepted " +
-                        std::to_string(stats_.sessionsAccepted) + "\n";
-                text += "emprof.serve.sessions_completed " +
-                        std::to_string(stats_.sessionsCompleted) +
-                        "\n";
-                text += "emprof.serve.sessions_rejected " +
-                        std::to_string(stats_.sessionsRejected) + "\n";
-                text += "emprof.serve.sessions_active " +
-                        std::to_string(stats_.sessionsActive) + "\n";
-                text += "emprof.serve.bytes_ingested " +
-                        std::to_string(stats_.bytesIngested) + "\n";
-                text += "emprof.serve.frames_malformed " +
-                        std::to_string(stats_.framesMalformed) + "\n";
-                text += "emprof.serve.sessions_parked " +
-                        std::to_string(stats_.sessionsParked) + "\n";
-                text += "emprof.serve.sessions_resumed " +
-                        std::to_string(stats_.sessionsResumed) + "\n";
-                text += "emprof.serve.results_spooled " +
-                        std::to_string(stats_.resultsSpooled) + "\n";
-                text += "emprof.serve.results_served_from_spool " +
-                        std::to_string(stats_.resultsServedFromSpool) +
-                        "\n";
-                text += "emprof.serve.sessions_aborted " +
-                        std::to_string(stats_.sessionsAborted) + "\n";
-                text += "emprof.serve.sessions_timed_out " +
-                        std::to_string(stats_.sessionsTimedOut) + "\n";
-                text += "emprof.serve.sessions_shed " +
-                        std::to_string(stats_.sessionsShed) + "\n";
-                text += "emprof.serve.retry_after_sent " +
-                        std::to_string(stats_.retryAfterSent) + "\n";
-                text += "emprof.serve.accept_fd_exhausted " +
-                        std::to_string(stats_.acceptFdExhausted) +
-                        "\n";
-                text += "emprof.serve.results_spool_failed " +
-                        std::to_string(stats_.resultsSpoolFailed) +
-                        "\n";
-                text += "emprof.serve.parked_evicted " +
-                        std::to_string(stats_.parkedEvicted) + "\n";
-                text += "emprof.serve.parked_expired " +
-                        std::to_string(stats_.parkedExpired) + "\n";
-            }
+            const ServerStats now = stats();
+            for (const StatRow &row : kStatRows)
+                text += std::string(row.name) + " " +
+                        std::to_string(now.*row.field) + "\n";
             if (obs::MetricsRegistry::enabled())
                 text += obs::metricsToText();
-            writeFrame(session->fd, FrameType::Stats, text.data(),
-                       text.size());
-            session->replied.store(true);
-            session->closed.store(true);
-            return;
+            advance(session, SessionEvent::Answered,
+                    Outbound(FrameType::Stats,
+                             std::vector<uint8_t>(text.begin(),
+                                                  text.end())));
+            break;
         }
-        case FrameType::HealthRequest: {
+        case FrameType::HealthRequest:
             // Answered before any Open and without touching session
             // accounting, so a load balancer can probe a server that
             // is far too loaded to admit anything.
-            const uint8_t state =
-                static_cast<uint8_t>(healthStateNow());
-            writeFrame(session->fd, FrameType::Health, &state, 1);
-            session->replied.store(true);
-            session->closed.store(true);
-            return;
-        }
+            advance(session, SessionEvent::Answered,
+                    Outbound(FrameType::Health,
+                             {static_cast<uint8_t>(healthStateNow())}));
+            break;
         default:
-            rejectAndClose(session,
-                           static_cast<uint32_t>(ErrorCode::Malformed),
-                           "unexpected frame type from client");
-            return;
+            refuse("unexpected frame type from client");
+            break;
         }
     }
 }
 
 void
-Server::handleOpen(const std::shared_ptr<Session> &session,
-                   const OpenRequest &open)
+Server::handleOpen(const SessionPtr &session, const OpenRequest &open)
 {
     SessionId id;
     std::memcpy(id.data(), open.sessionId, id.size());
-    const bool want_resume = (open.flags & kOpenResume) != 0;
+    const bool want_resume =
+        (open.flags & kOpenResume) != 0 && !sessionIdIsZero(id);
     const bool resilient = (open.flags & kOpenResilient) != 0;
+    const auto refuse = [&](ErrorCode code, const std::string &message,
+                            uint32_t retryAfterMs = 0) {
+        advance(session, SessionEvent::OpenRefused,
+                Outbound::failure(code, message, retryAfterMs));
+    };
+    const auto accept = [&](uint64_t offset, SessionState wire) {
+        session->id = id;
+        advance(session, SessionEvent::OpenAccepted,
+                Outbound(FrameType::OpenAck,
+                         encodeOpenAckPayload(id, offset, wire)));
+    };
+
+    // Another connection still holds this id (its pump is draining
+    // what it received, or building its report): answer once it has
+    // parked or ended, so the answer is Resumed at the durable offset
+    // or Complete, never a Fresh restart that races the park.
+    if (want_resume &&
+        std::any_of(sessions_.begin(), sessions_.end(),
+                    [&](const SessionPtr &other) {
+                        return other != session &&
+                               lifecycle::holdsId(other->state) &&
+                               other->id == id;
+                    })) {
+        session->heldOpen = open;
+        return;
+    }
 
     // A session that already finished in a previous connection (or a
     // previous daemon life): acknowledge Complete and replay the
     // spooled Report payload verbatim — bit-identity by construction.
-    if (want_resume && !sessionIdIsZero(id) && spool_.has(id)) {
+    if (want_resume && spool_.has(id)) {
         uint32_t status = 0;
         std::vector<uint8_t> payload;
         std::string why;
         if (spool_.fetch(id, status, payload, &why)) {
-            session->replied.store(true);
-            {
-                std::lock_guard<std::mutex> lock(sessionsMutex_);
-                ++stats_.resultsServedFromSpool;
-            }
-            ServeMetrics::instance().servedFromSpool.inc();
-            const auto ack =
-                encodeOpenAckPayload(id, 0, SessionState::Complete);
-            if (writeFrame(session->fd, FrameType::OpenAck, ack.data(),
-                           ack.size()))
-                writeFrame(session->fd, FrameType::Report,
-                           payload.data(), payload.size());
-            session->closed.store(true);
+            count(&ServerStats::resultsServedFromSpool);
+            Outbound answer(FrameType::OpenAck,
+                            encodeOpenAckPayload(
+                                id, 0, SessionState::Complete));
+            answer.frames.push_back(
+                {FrameType::Report, std::move(payload)});
+            advance(session, SessionEvent::Answered, std::move(answer));
             return;
         }
         // Spooled record damaged at rest: fall through to a fresh
         // upload; the re-analysis replaces the bad record.
     }
 
-    std::size_t active;
-    {
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
-        active = stats_.sessionsActive;
-    }
-    if (active >= config_.maxSessions) {
-        rejectAndClose(session,
-                       static_cast<uint32_t>(ErrorCode::Busy),
-                       "session limit reached (" +
-                           std::to_string(config_.maxSessions) + ")");
-        return;
-    }
+    if (activeSessions() >= config_.maxSessions)
+        return refuse(ErrorCode::Busy,
+                      "session limit reached (" +
+                          std::to_string(config_.maxSessions) + ")");
 
     // A parked pipeline: validate the client's idea of the offset
     // against ours, re-attach, and tell it where to resume from.
-    if (want_resume && !sessionIdIsZero(id)) {
+    if (want_resume) {
         const std::string hex = sessionIdToHex(id);
-        std::shared_ptr<Parked> parked;
-        {
-            std::lock_guard<std::mutex> lock(sessionsMutex_);
-            const auto it = parked_.find(hex);
-            if (it != parked_.end()) {
-                parked = std::move(it->second);
-                parked_.erase(it);
-            }
-        }
-        if (parked) {
-            std::string bad;
+        const auto it = parked_.find(hex);
+        if (it != parked_.end()) {
+            const SessionPtr parked = it->second;
+            // A mismatch leaves the pipeline parked: a corrected
+            // retry may follow.
             if (open.resumeFrom != kResumeQuery &&
                 open.resumeFrom != parked->resumeOffset)
-                bad = "resume offset " +
-                      std::to_string(open.resumeFrom) +
-                      " does not match the durable offset " +
-                      std::to_string(parked->resumeOffset) +
-                      " for session " + hex;
-            else if (parked->resilient != resilient)
-                bad = "resilience mode differs from the parked "
-                      "session " +
-                      hex;
-            if (!bad.empty()) {
-                // Put the pipeline back: a corrected retry may follow.
-                {
-                    std::lock_guard<std::mutex> lock(sessionsMutex_);
-                    parked_[hex] = std::move(parked);
-                }
-                rejectAndClose(
-                    session,
-                    static_cast<uint32_t>(ErrorCode::BadResume), bad);
-                return;
-            }
-            const uint64_t offset = parked->resumeOffset;
+                return refuse(ErrorCode::BadResume,
+                              "resume offset " +
+                                  std::to_string(open.resumeFrom) +
+                                  " does not match the durable offset " +
+                                  std::to_string(parked->resumeOffset) +
+                                  " for session " + hex);
+            if (parked->pipeline->resilient() != resilient)
+                return refuse(ErrorCode::BadResume,
+                              "resilience mode differs from the parked "
+                              "session " +
+                                  hex);
             session->pipeline = std::move(parked->pipeline);
-            session->id = id;
-            session->openSeen = true;
-            {
-                std::lock_guard<std::mutex> lock(sessionsMutex_);
-                ++stats_.sessionsAccepted;
-                ++stats_.sessionsResumed;
-                ++stats_.sessionsActive;
-            }
-            const auto &metrics = ServeMetrics::instance();
-            metrics.accepted.inc();
-            metrics.resumed.inc();
-            const auto ack = encodeOpenAckPayload(
-                id, offset, SessionState::Resumed);
-            writeFrame(session->fd, FrameType::OpenAck, ack.data(),
-                       ack.size());
-            return;
+            parked_.erase(it);
+            count(&ServerStats::sessionsResumed);
+            return accept(parked->resumeOffset, SessionState::Resumed);
         }
-        // Nothing parked and nothing spooled.  An explicit non-zero
-        // offset cannot be honoured — the client would silently skip
-        // bytes we never saw; make it a typed error.  kResumeQuery
-        // (or 0) degrades gracefully to a fresh upload: the daemon
-        // may simply have restarted.
-        if (open.resumeFrom != kResumeQuery && open.resumeFrom != 0) {
-            rejectAndClose(
-                session, static_cast<uint32_t>(ErrorCode::BadResume),
-                "unknown session " + hex +
-                    " cannot resume at offset " +
-                    std::to_string(open.resumeFrom));
-            return;
-        }
+        // Nothing parked or spooled.  An explicit non-zero offset would
+        // skip bytes we never saw: a typed error.  kResumeQuery (or 0)
+        // degrades to a fresh upload; the daemon may have restarted.
+        if (open.resumeFrom != kResumeQuery && open.resumeFrom != 0)
+            return refuse(ErrorCode::BadResume,
+                          "unknown session " + hex +
+                              " cannot resume at offset " +
+                              std::to_string(open.resumeFrom));
     }
 
     // Admission control: FRESH sessions only — a resume was already
@@ -1002,13 +968,10 @@ Server::handleOpen(const std::shared_ptr<Session> &session,
         const LoadSnapshot snap = currentSnapshot();
         if (governor_.classify(snap) != LoadGovernor::Level::Normal) {
             const uint32_t hint = governor_.suggestedBackoffMs(snap);
-            rejectAndClose(
-                session,
-                static_cast<uint32_t>(ErrorCode::RetryAfter),
-                "server overloaded; retry in " +
-                    std::to_string(hint) + " ms",
-                hint);
-            return;
+            return refuse(ErrorCode::RetryAfter,
+                          "server overloaded; retry in " +
+                              std::to_string(hint) + " ms",
+                          hint);
         }
     }
 
@@ -1018,226 +981,117 @@ Server::handleOpen(const std::shared_ptr<Session> &session,
         id = randomSessionId();
     profiler::EmProfConfig analysis = config_.analysis;
     analysis.signal.enabled = resilient;
-    session->pipeline = std::make_unique<SessionPipeline>(
-        analysis, config_.spanSamples);
-    session->id = id;
-    session->openSeen = true;
-    {
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
-        ++stats_.sessionsAccepted;
-        ++stats_.sessionsActive;
-    }
-    ServeMetrics::instance().accepted.inc();
-    const auto ack = encodeOpenAckPayload(id, 0, SessionState::Fresh);
-    writeFrame(session->fd, FrameType::OpenAck, ack.data(),
-               ack.size());
+    session->pipeline =
+        std::make_unique<SessionPipeline>(analysis, config_.spanSamples);
+    accept(0, SessionState::Fresh);
 }
 
 void
-Server::schedulePump(const std::shared_ptr<Session> &session)
+Server::pump(const SessionPtr &session)
 {
-    {
-        std::lock_guard<std::mutex> qlock(session->mutex);
-        if (session->taskInFlight)
-            return; // the running pump will see the new work
-        if (session->pending.empty() && !session->finishRequested)
-            return;
-        session->taskInFlight = true;
-    }
-    // The future is intentionally dropped: the pump reports through
-    // the socket and the session flags, never through the future.  A
-    // PoolDrained rejection can only happen during stop(), which
-    // replies Shutdown to every unanswered session itself.
-    (void)pool_->submit([this, session] { pump(session); });
-}
-
-void
-Server::pump(std::shared_ptr<Session> session)
-{
-    const auto abandon = [&](ErrorCode code,
-                             const std::string &message,
-                             uint32_t retryAfterMs = 0) {
-        if (!session->replied.exchange(true)) {
-            setSendTimeoutMs(session->fd, kShedWriteTimeoutMs);
-            const auto payload =
-                code == ErrorCode::RetryAfter
-                    ? encodeRetryAfterPayload(retryAfterMs, message)
-                    : encodeErrorPayload(code, message);
-            writeFrame(session->fd, FrameType::Error, payload.data(),
-                       payload.size());
-            std::lock_guard<std::mutex> lock(sessionsMutex_);
-            ++stats_.sessionsRejected;
-            if (code == ErrorCode::RetryAfter)
-                ++stats_.retryAfterSent;
-            ServeMetrics::instance().rejected.inc();
-            if (code == ErrorCode::RetryAfter)
-                ServeMetrics::instance().retryAfterSent.inc();
-        }
-        {
-            std::lock_guard<std::mutex> qlock(session->mutex);
-            session->pending.clear();
-            session->pendingBytes = 0;
-            session->taskInFlight = false;
-        }
-        session->closed.store(true);
-        wake();
+    Session &s = *session;
+    Completion done;
+    const auto failed = [&done](ErrorCode code, std::string message) {
+        done.event = SessionEvent::PumpFailed;
+        done.code = code;
+        done.message = std::move(message);
     };
-
     try {
         for (;;) {
-            if (session->aborted.load()) {
-                // A shed (deadline/hard watermark) names its own
-                // typed error; plain aborts are a shutdown.
-                ErrorCode code = ErrorCode::Shutdown;
-                std::string message = "server shutting down";
-                uint32_t hint = 0;
-                {
-                    std::lock_guard<std::mutex> qlock(session->mutex);
-                    if (session->shedCode != 0) {
-                        code =
-                            static_cast<ErrorCode>(session->shedCode);
-                        message = session->shedMessage;
-                        hint = session->shedRetryAfterMs;
-                    }
-                }
-                return abandon(code, message, hint);
-            }
-
             std::vector<uint8_t> item;
-            bool do_finish = false;
+            bool finish = false;
             bool crossed_resume = false;
             {
-                std::lock_guard<std::mutex> qlock(session->mutex);
-                if (!session->pending.empty()) {
-                    item = std::move(session->pending.front());
-                    session->pending.pop_front();
-                    const std::size_t before = session->pendingBytes;
-                    session->pendingBytes -= item.size();
-                    const std::size_t half =
-                        config_.sessionBufferBytes / 2;
-                    crossed_resume = before > half &&
-                                     session->pendingBytes <= half;
-                } else if (session->finishRequested) {
-                    session->finishRequested = false;
-                    do_finish = true;
+                std::lock_guard<std::mutex> lock(s.mutex);
+                Session::Work &work = s.work;
+                if (work.stop == PumpOrder::Abandon)
+                    break;
+                if (!work.data.empty()) {
+                    item = std::move(work.data.front());
+                    work.data.pop_front();
+                    const std::size_t half = config_.sessionBufferBytes / 2;
+                    crossed_resume =
+                        work.bytes > half && work.bytes - item.size() <= half;
+                    work.bytes -= item.size();
+                } else if (work.finish) {
+                    work.finish = false;
+                    finish = true;
+                } else if (work.stop == PumpOrder::Drain) {
+                    break;
                 } else {
-                    session->taskInFlight = false;
-                    return; // re-armed by the next Data/Finish
+                    // Idle: the pipeline is the I/O thread's again
+                    // until the next Data or Finish re-arms a pump.
+                    work.running = false;
+                    return;
                 }
             }
-
-            if (do_finish) {
+            if (finish) {
                 profiler::ProfileResult result;
                 std::string why;
-                if (!session->pipeline->finish(result, &why))
-                    return abandon(ErrorCode::Malformed, why);
-
+                if (!s.pipeline->finish(result, &why)) {
+                    failed(ErrorCode::Malformed, why);
+                    break;
+                }
                 const auto &quality = result.report.quality;
-                const bool degraded =
-                    quality.enabled && quality.coverageFraction < 1.0;
-                const uint32_t status = degraded ? 3u : 0u;
-                const auto payload = encodeReportPayload(
-                    status,
-                    session->pipeline->decoder().info().totalSamples,
+                const uint32_t status =
+                    quality.enabled && quality.coverageFraction < 1.0 ? 3u
+                                                                      : 0u;
+                done.event = SessionEvent::PumpReport;
+                done.report = encodeReportPayload(
+                    status, s.pipeline->decoder().info().totalSamples,
                     quality.enabled ? quality.coverageFraction : 1.0,
-                    result.events,
-                    result.report.toText("served capture"));
+                    result.events, result.report.toText("served capture"));
                 // Durability BEFORE delivery: the result is fsync'd
-                // into the spool before the Report frame is written,
-                // so a reply lost to a dead socket (or a daemon crash
-                // right after this point) is recoverable — the client
-                // resumes by id and is served from the spool.
+                // into the spool before the completion is posted, so a
+                // reply lost to a dead socket (or a daemon crash right
+                // after this point) is recoverable — the client resumes
+                // by id and is served from the spool.
                 if (spool_.isOpen()) {
-                    std::string spool_error;
-                    if (spool_.append(session->id, status, payload,
-                                      &spool_error)) {
-                        {
-                            std::lock_guard<std::mutex> lock(
-                                sessionsMutex_);
-                            ++stats_.resultsSpooled;
-                        }
-                        ServeMetrics::instance().spooled.inc();
-                    } else {
-                        // A spool failure (disk full, ...) must not
-                        // take the live path down: the reply still
-                        // goes out, only the crash-recovery guarantee
-                        // is lost.  Counted, and logged once on the
-                        // healthy→degraded transition.
-                        bool first;
-                        {
-                            std::lock_guard<std::mutex> lock(
-                                sessionsMutex_);
-                            first = stats_.resultsSpoolFailed == 0;
-                            ++stats_.resultsSpoolFailed;
-                        }
-                        ServeMetrics::instance().spoolFailed.inc();
-                        if (first)
-                            std::fprintf(
-                                stderr,
-                                "emprof_served: result spool append "
-                                "failed (%s); serving non-durably\n",
-                                spool_error.c_str());
-                    }
+                    std::string why_not;
+                    done.spooled = spool_.append(s.id, status, done.report,
+                                                 &why_not);
+                    if (!done.spooled)
+                        done.spoolError = why_not;
                 }
-                // Account the completion BEFORE the reply leaves the
-                // socket: a client that has its Report in hand must
-                // see the counter already bumped.  A failed write
-                // means the peer hung up after the analysis finished —
-                // the session still completed.
-                session->replied.store(true);
-                {
-                    std::lock_guard<std::mutex> lock(sessionsMutex_);
-                    ++stats_.sessionsCompleted;
-                }
-                const auto &metrics = ServeMetrics::instance();
-                metrics.completed.inc();
-                std::string write_error;
-                (void)writeFrame(session->fd, FrameType::Report,
-                                 payload.data(), payload.size(),
-                                 &write_error);
-                metrics.sessionUs.observe(
-                    elapsedUs(session->openedAt));
-                {
-                    std::lock_guard<std::mutex> qlock(session->mutex);
-                    session->taskInFlight = false;
-                }
-                session->closed.store(true);
-                wake();
-                return;
+                break;
             }
-
             const auto t0 = std::chrono::steady_clock::now();
             std::string why;
-            const bool ok = session->pipeline->feed(
-                item.data(), item.size(), &why);
+            const bool ok = s.pipeline->feed(item.data(), item.size(), &why);
             if (obs::MetricsRegistry::enabled())
-                ServeMetrics::instance().feedUs.observe(
-                    elapsedUs(t0));
-            if (!ok)
-                return abandon(ErrorCode::Malformed, why);
+                ServeMetrics::instance().feedUs.observe(elapsedUs(t0));
+            if (!ok) {
+                failed(ErrorCode::Malformed, why);
+                break;
+            }
             if (crossed_resume)
-                wake(); // socket may resume reading
+                wake(); // the socket may resume reading
         }
     } catch (const std::exception &e) {
-        return abandon(ErrorCode::Internal,
-                       std::string("analysis failed: ") + e.what());
+        done = Completion{};
+        failed(ErrorCode::Internal,
+               std::string("analysis failed: ") + e.what());
     }
+    {
+        std::lock_guard<std::mutex> lock(s.mutex);
+        s.work.data.clear();
+        s.work.bytes = 0;
+        s.work.finish = false;
+        s.work.completion = std::move(done);
+    }
+    wake();
 }
 
 LoadSnapshot
-Server::currentSnapshot()
+Server::currentSnapshot() const
 {
     LoadSnapshot snap;
     snap.queueBytes = lastQueueBytes_;
-    {
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
-        snap.activeSessions = stats_.sessionsActive;
-        snap.parked = parked_.size();
-        // Sessions (incl. pre-Open connections) + listeners + the
-        // wake pipe and the emergency reserve.
-        snap.connections =
-            sessions_.size() + listeners_.size() + 3;
-    }
+    snap.activeSessions = activeSessions();
+    snap.parked = parked_.size();
+    // Sessions (incl. pre-Open connections) + listeners + the wake
+    // pipe and the emergency reserve.
+    snap.connections = sessions_.size() + listeners_.size() + 3;
     snap.poolQueueDepth = pool_ ? pool_->queueDepth() : 0;
     return snap;
 }
@@ -1247,71 +1101,13 @@ Server::healthStateNow() const
 {
     if (stopping_.load())
         return HealthState::Draining;
-    switch (lastLevel_) {
-    case LoadGovernor::Level::Hard:
-        return HealthState::Shedding;
-    case LoadGovernor::Level::Soft:
-        return HealthState::Backoff;
-    case LoadGovernor::Level::Normal:
-        break;
-    }
-    return HealthState::Live;
+    return lastLevel_ == LoadGovernor::Level::Hard   ? HealthState::Shedding
+           : lastLevel_ == LoadGovernor::Level::Soft ? HealthState::Backoff
+                                                     : HealthState::Live;
 }
 
 void
-Server::shedSession(const std::shared_ptr<Session> &session,
-                    ErrorCode code, const std::string &message,
-                    uint32_t retryAfterMs)
-{
-    bool pump_owns;
-    {
-        std::lock_guard<std::mutex> qlock(session->mutex);
-        pump_owns = session->taskInFlight || session->finishRequested;
-        if (pump_owns) {
-            session->shedCode = static_cast<uint32_t>(code);
-            session->shedMessage = message;
-            session->shedRetryAfterMs = retryAfterMs;
-        }
-    }
-    if (pump_owns) {
-        // The pump owns the socket; its abort path replies with the
-        // typed error above.  (If it instead completes the report
-        // first, better still — nothing was lost.)
-        session->aborted.store(true);
-        return;
-    }
-    if (!session->replied.exchange(true)) {
-        setSendTimeoutMs(session->fd, kShedWriteTimeoutMs);
-        const auto payload =
-            code == ErrorCode::RetryAfter
-                ? encodeRetryAfterPayload(retryAfterMs, message)
-                : encodeErrorPayload(code, message);
-        writeFrame(session->fd, FrameType::Error, payload.data(),
-                   payload.size());
-        {
-            std::lock_guard<std::mutex> lock(sessionsMutex_);
-            ++stats_.sessionsRejected;
-            if (code == ErrorCode::RetryAfter)
-                ++stats_.retryAfterSent;
-        }
-        ServeMetrics::instance().rejected.inc();
-        if (code == ErrorCode::RetryAfter)
-            ServeMetrics::instance().retryAfterSent.inc();
-    }
-    // Shed ≠ forgotten: park the pipeline so the client can resume
-    // once the storm passes, upload already half done.  (The EOF
-    // parking invariant holds here too: !pump_owns on the I/O thread
-    // means the pending queue is drained.)
-    if (session->openSeen && session->pipeline != nullptr &&
-        !session->pipeline->poisoned() && !stopping_.load())
-        parkSession(session);
-    else
-        session->closed.store(true);
-}
-
-void
-Server::enforceOverload(
-    const std::vector<std::shared_ptr<Session>> &polled)
+Server::enforceOverload()
 {
     const bool time_checks = config_.idleTimeoutSeconds > 0 ||
                              config_.sessionDeadlineSeconds > 0 ||
@@ -1325,101 +1121,72 @@ Server::enforceOverload(
         std::chrono::steady_clock::time_point t) {
         return std::chrono::duration<double>(now - t).count();
     };
+    // Draining sessions already have a verdict pending; Parked and
+    // Done ones have no socket; a held resume waits on the server.
+    const auto sheddable = [](const Session &s) {
+        return (lifecycle::polled(s.state) ||
+                s.state == State::Finishing) &&
+               !s.heldOpen;
+    };
 
-    if (time_checks) {
-        for (const auto &s : polled) {
-            // aborted = a verdict is already pending on the pump's
-            // abort path; re-shedding every tick until a starved pump
-            // gets scheduled would count the same session dozens of
-            // times over.
-            if (s->closed.load() || s->replied.load() ||
-                s->aborted.load())
-                continue;
-            bool pump_owns;
-            bool finish_requested;
-            {
-                std::lock_guard<std::mutex> qlock(s->mutex);
-                pump_owns = s->taskInFlight || s->finishRequested;
-                finish_requested = s->finishRequested;
-            }
-            const bool server_side_stall = pump_owns || s->suspended;
-            if (server_side_stall) {
-                // Analysis or backpressure is the bottleneck — our
-                // doing, not the client's.  Restart the idle clock so
-                // the silence is never held against it.
-                s->lastProgressAt = now;
-            }
-            // The rate window, by contrast, pauses only while reads
-            // are off (backpressure) or the upload is over (Finish
-            // queued).  A pump merely in flight does not stop bytes
-            // arriving — and a trickler's sips keep one in flight at
-            // almost every tick, so excusing it would let slow-loris
-            // reset the window indefinitely.
-            if (s->suspended || finish_requested) {
-                s->rateWindowStart = now;
-                s->rateWindowBase = s->socketBytesRead;
-            }
+    for (std::size_t i = 0; time_checks && i < sessions_.size(); ++i) {
+        const SessionPtr s = sessions_[i];
+        if (!sheddable(*s))
+            continue;
+        const bool finishing = s->state == State::Finishing;
+        bool pump_running = false;
+        {
+            std::lock_guard<std::mutex> lock(s->mutex);
+            pump_running = s->work.running;
+        }
+        const bool server_side_stall =
+            finishing || pump_running || s->suspended;
+        if (server_side_stall) {
+            // Analysis or backpressure is the bottleneck — our
+            // doing, not the client's.  Restart the idle clock so
+            // the silence is never held against it.
+            s->lastProgressAt = now;
+        }
+        // The rate window, by contrast, pauses only while reads are
+        // off (backpressure) or the upload is over (Finish queued).
+        // A pump merely in flight does not stop bytes arriving — and
+        // a trickler's sips keep one in flight at almost every tick,
+        // so excusing it would let slow-loris reset the window
+        // indefinitely.
+        if (s->suspended || finishing) {
+            s->rateWindowStart = now;
+            s->rateWindowBase = s->socketBytesRead;
+        }
 
-            // The wall-clock deadline binds regardless of whose
-            // fault the elapsed time is.
-            if (config_.sessionDeadlineSeconds > 0 &&
-                seconds_since(s->openedAt) >=
-                    config_.sessionDeadlineSeconds) {
-                {
-                    std::lock_guard<std::mutex> lock(sessionsMutex_);
-                    ++stats_.sessionsTimedOut;
-                }
-                ServeMetrics::instance().timedOut.inc();
-                shedSession(s, ErrorCode::IdleTimeout,
-                            "session deadline exceeded", 0);
-                continue;
-            }
-
-            if (!server_side_stall &&
-                config_.idleTimeoutSeconds > 0 &&
-                seconds_since(s->lastProgressAt) >=
-                    config_.idleTimeoutSeconds) {
-                {
-                    std::lock_guard<std::mutex> lock(sessionsMutex_);
-                    ++stats_.sessionsTimedOut;
-                }
-                ServeMetrics::instance().timedOut.inc();
-                shedSession(s, ErrorCode::IdleTimeout,
-                            "no upload progress; parked for resume",
-                            0);
-                continue;
-            }
-
-            if (!s->suspended && !finish_requested &&
-                config_.minRateBytesPerSec > 0 && s->openSeen) {
-                const double window =
-                    config_.minRateWindowSeconds > 0
-                        ? config_.minRateWindowSeconds
-                        : 10.0;
-                const double elapsed =
-                    seconds_since(s->rateWindowStart);
-                if (elapsed >= window) {
-                    const double rate =
-                        static_cast<double>(s->socketBytesRead -
-                                            s->rateWindowBase) /
-                        elapsed;
-                    if (rate < config_.minRateBytesPerSec) {
-                        {
-                            std::lock_guard<std::mutex> lock(
-                                sessionsMutex_);
-                            ++stats_.sessionsTimedOut;
-                        }
-                        ServeMetrics::instance().timedOut.inc();
-                        shedSession(s, ErrorCode::IdleTimeout,
-                                    "upload rate below the floor; "
-                                    "parked for resume",
-                                    0);
-                        continue;
-                    }
-                    s->rateWindowStart = now;
-                    s->rateWindowBase = s->socketBytesRead;
-                }
-            }
+        // The wall-clock deadline binds regardless of whose fault
+        // the elapsed time is.
+        const char *why = nullptr;
+        const double window = config_.minRateWindowSeconds > 0
+                                  ? config_.minRateWindowSeconds
+                                  : 10.0;
+        if (config_.sessionDeadlineSeconds > 0 &&
+            seconds_since(s->openedAt) >= config_.sessionDeadlineSeconds)
+            why = "session deadline exceeded";
+        else if (!server_side_stall && config_.idleTimeoutSeconds > 0 &&
+                 seconds_since(s->lastProgressAt) >=
+                     config_.idleTimeoutSeconds)
+            why = "no upload progress; parked for resume";
+        else if (!s->suspended && s->state == State::Uploading &&
+                 config_.minRateBytesPerSec > 0 &&
+                 seconds_since(s->rateWindowStart) >= window) {
+            const double rate =
+                static_cast<double>(s->socketBytesRead -
+                                    s->rateWindowBase) /
+                seconds_since(s->rateWindowStart);
+            if (rate < config_.minRateBytesPerSec)
+                why = "upload rate below the floor; parked for resume";
+            s->rateWindowStart = now;
+            s->rateWindowBase = s->socketBytesRead;
+        }
+        if (why != nullptr) {
+            count(&ServerStats::sessionsTimedOut);
+            advance(s, SessionEvent::TickShed,
+                    Outbound::failure(ErrorCode::IdleTimeout, why));
         }
     }
 
@@ -1435,37 +1202,29 @@ Server::enforceOverload(
     // Hard overload: shed established sessions, most-stalled first —
     // the sessions most likely to be hostile, and whose eviction
     // frees the most slot-time per report lost.
-    uint64_t target = governor_.shedTarget(snap);
+    const uint64_t target = governor_.shedTarget(snap);
     if (target == 0)
         return;
-    std::vector<std::shared_ptr<Session>> candidates;
-    for (const auto &s : polled)
-        if (!s->closed.load() && !s->replied.load() && s->openSeen &&
-            !s->aborted.load())
+    std::vector<SessionPtr> candidates;
+    for (const auto &s : sessions_)
+        if (sheddable(*s) && s->state != State::Handshake)
             candidates.push_back(s);
     std::sort(candidates.begin(), candidates.end(),
               [](const auto &a, const auto &b) {
                   return a->lastProgressAt < b->lastProgressAt;
               });
     const uint32_t hint = governor_.suggestedBackoffMs(snap);
-    uint64_t shed_count = 0;
-    for (const auto &s : candidates) {
-        if (shed_count >= target)
-            break;
-        shedSession(s, ErrorCode::RetryAfter,
-                    "load shed under hard watermark; resume in " +
-                        std::to_string(hint) + " ms",
-                    hint);
-        ++shed_count;
-    }
-    if (shed_count > 0) {
-        {
-            std::lock_guard<std::mutex> lock(sessionsMutex_);
-            stats_.sessionsShed += shed_count;
-        }
-        ServeMetrics::instance().shed.add(
-            static_cast<int64_t>(shed_count));
-    }
+    const std::size_t shed_count =
+        std::min<std::size_t>(target, candidates.size());
+    for (std::size_t i = 0; i < shed_count; ++i)
+        advance(candidates[i], SessionEvent::HardShed,
+             Outbound::failure(ErrorCode::RetryAfter,
+                               "load shed under hard watermark; "
+                               "resume in " +
+                                   std::to_string(hint) + " ms",
+                               hint));
+    if (shed_count > 0)
+        count(&ServerStats::sessionsShed, shed_count);
 }
 
 } // namespace emprof::serve

@@ -2,54 +2,54 @@
  * @file
  * The EMPROF ingest server: many concurrent capture-upload sessions
  * over unix and/or TCP sockets, analysed incrementally on a shared
- * thread pool.
+ * thread pool (DESIGN.md §14).
  *
- * Threading model (see DESIGN.md §14 for the diagram):
+ * ONE I/O thread owns every socket and every session's lifecycle: it
+ * accepts, reads, parses EMFR frames, sends every reply, and is the
+ * only writer of a session's lifecycle::SessionState
+ * (session_state.hpp):
  *
- *  - ONE I/O thread owns every socket: it accepts connections, reads
- *    bytes, parses EMFR frames, and enqueues Data payloads onto the
- *    owning session's pending queue.  The poll set is rebuilt each
- *    iteration from session state, and a self-pipe lets workers wake
- *    it (to resume a suspended socket or reap a finished session).
- *  - Analysis runs on the shared common::ThreadPool.  At most ONE
- *    task per session is in flight at a time (the "pump"): it drains
- *    the session's pending queue through its SessionPipeline, writes
- *    the Report/Error frames itself (blocking, MSG_NOSIGNAL), and
- *    reschedules itself only via new arrivals.  Chunks of one session
- *    are therefore strictly ordered while different sessions run in
- *    parallel — exactly the invariant SessionPipeline requires.
+ *   state      polled  waits for
+ *   Handshake  yes     an Open, a Stats/Health probe, or a hang-up
+ *   Uploading  yes*    Data, Finish, a hang-up, a shed, stop
+ *   Finishing  no      the pump's report or failure
+ *   Draining   no      the pump's completion (it drains its queue after
+ *                      a hang-up, abandons it after a shed or stop)
+ *   Parked     no      nothing; kept for a resume until TTL/eviction
+ *   Done       no      nothing; reaped
+ *   * not while backpressured
  *
- * Backpressure: each session's pending queue is byte-bounded.  When a
- * client uploads faster than analysis drains, the I/O thread stops
- * polling that socket for reads at the high watermark; the kernel
- * socket buffer then fills and the sender's write() blocks — flow
- * control all the way back to the device, with per-session memory
- * capped at queue budget + one span + halo (see session_pipeline.hpp).
- * Reads resume once the pump drains below half the budget.
+ * Analysis runs on the shared common::ThreadPool as at most ONE task
+ * per session (the "pump"), so one session's chunks stay in order
+ * while sessions run in parallel.  The pump shares only the session's
+ * work queue, under the session mutex: Data payloads, a Finish entry
+ * and a stop order in; one completion out when it stops for good —
+ * report built and spooled, typed failure, or stopped.  It posts that
+ * completion and wakes the I/O thread through a self-pipe; the I/O
+ * thread settles it in Server::advance, the one place that sends the
+ * Report or Error, parks and counts.  The I/O thread writes nothing to
+ * a session whose pump runs.
  *
- * Failure containment: a malformed frame or bad EMCAP stream yields a
- * typed Error frame and quarantines only that session — the socket is
- * closed, counters are incremented, and every other session is
- * untouched.  Analysis exceptions surface as ErrorCode::Internal the
- * same way.  The server process never dies on client input.
+ * Backpressure: at sessionBufferBytes queued the socket leaves the
+ * poll set until the pump drains below half, so per-session memory is
+ * queue budget + one span + halo.  A malformed frame, bad EMCAP stream
+ * or analysis exception yields a typed Error for that session only.
  *
- * Shutdown: stop() closes the listeners, asks in-flight sessions to
- * abort (they reply ErrorCode::Shutdown), joins the I/O thread and
- * drains the pool (ThreadPool::drain()), so stop() returning means no
- * server thread exists and every fd is closed.
+ * Shutdown: stop() joins the I/O thread and takes its place.  Idle
+ * sessions are answered ErrorCode::Shutdown, running pumps abandon
+ * their queues, the pool drains and their completions are settled, so
+ * stop() returning means no server thread exists and every fd is
+ * closed.
  *
- * Disconnect safety (DESIGN.md §15): a connection that dies mid-upload
- * no longer loses the session.  The I/O thread PARKS the session's
- * pipeline (decoder + stitcher state, keyed by session id) once the
- * pump has drained every received byte; a reconnecting client re-sends
- * the v2 Open with its session id and the OpenAck echoes the
- * element-aligned resume offset, so the upload continues bit-
- * identically.  Parked pipelines expire after resumeTtlSeconds.
- * Finished reports are appended (fsync'd) to the durable ResultSpool
- * BEFORE the Report frame is written, so a client whose connection
- * died between analysis and delivery — or a daemon restart — can
- * still collect the result: a resume of a spooled session is answered
- * with SessionState::Complete plus the verbatim spooled payload.
+ * Disconnect safety (DESIGN.md §15): a hang-up parks the session's
+ * pipeline (decoder + stitcher state, keyed by id) once no pump owns
+ * it, so a reconnecting client's v2 Open continues the upload
+ * bit-identically from the echoed element-aligned offset.  A resume
+ * that arrives while the old connection still holds the id is
+ * answered once it parks or ends.  Parked pipelines expire after
+ * resumeTtlSeconds.  Reports are fsync'd to the ResultSpool BEFORE the
+ * Report frame is written; a resume of a spooled session is answered
+ * Complete plus the verbatim spooled payload.
  */
 
 #ifndef EMPROF_SERVE_SERVER_HPP
@@ -66,6 +66,7 @@
 #include "common/thread_pool.hpp"
 #include "profiler/profiler.hpp"
 #include "serve/governor.hpp"
+#include "serve/session_state.hpp"
 #include "serve/spool.hpp"
 
 namespace emprof::serve {
@@ -86,7 +87,7 @@ struct ServerConfig
     std::size_t maxSessions = 64;
 
     /**
-     * Per-session pending-queue budget in bytes: the high watermark
+     * Per-session work-queue budget in bytes: the high watermark
      * where the server stops reading that socket (backpressure).
      */
     std::size_t sessionBufferBytes = std::size_t{8} << 20;
@@ -199,39 +200,45 @@ class Server
 
   private:
     struct Session;
-    struct Listener;
-    struct Parked;
+    struct Outbound;
+    using SessionPtr = std::shared_ptr<Session>;
 
     void ioLoop();
     void acceptPending(int listenFd);
-    void handleReadable(const std::shared_ptr<Session> &session);
-    void handleOpen(const std::shared_ptr<Session> &session,
-                    const OpenRequest &open);
-    void pump(std::shared_ptr<Session> session);
-    void schedulePump(const std::shared_ptr<Session> &session);
-    void rejectAndClose(const std::shared_ptr<Session> &session,
-                        uint32_t code, const std::string &message,
-                        uint32_t retryAfterMs = 0);
-    void parkSession(const std::shared_ptr<Session> &session);
+    void handleReadable(const SessionPtr &session);
+    void processInbox(const SessionPtr &session);
+    void handleOpen(const SessionPtr &session, const OpenRequest &open);
+
+    /**
+     * The one place a session changes state: run the transition
+     * function, apply its pump order to the work queue, send its reply,
+     * count the outcome, park or close.  I/O thread (or stop()) only.
+     * @p data is the payload of a Data event.
+     */
+    void advance(const SessionPtr &session, lifecycle::SessionEvent event,
+                 Outbound reply, std::vector<uint8_t> data = {});
+
+    /** Settle the completion @p session's pump posted, if any; returns
+     *  the bytes still queued for it. */
+    std::size_t settlePump(const SessionPtr &session);
+
+    void pump(const SessionPtr &session);
+    void park(const SessionPtr &session);
+    void releaseHeldOpens(const SessionId &id);
     void purgeParked();
+    std::size_t activeSessions() const;
     void wake();
 
-    // ---- overload hardening (all I/O-thread-only) ----
+    /** Bump a ServerStats field and its emprof.serve.* counter;
+     *  returns the new value. */
+    uint64_t count(uint64_t ServerStats::*field, uint64_t n = 1);
 
     /** One tick's resource picture for the LoadGovernor. */
-    LoadSnapshot currentSnapshot();
+    LoadSnapshot currentSnapshot() const;
 
     /** Idle/deadline/rate enforcement + watermark classification and
-     *  hard shedding; runs once per poll tick over @p polled. */
-    void enforceOverload(
-        const std::vector<std::shared_ptr<Session>> &polled);
-
-    /** Dispose of one session with a typed error: direct write +
-     *  park when the I/O thread owns it, via the pump's abort path
-     *  when analysis does. */
-    void shedSession(const std::shared_ptr<Session> &session,
-                     ErrorCode code, const std::string &message,
-                     uint32_t retryAfterMs);
+     *  hard shedding; runs once per poll tick. */
+    void enforceOverload();
 
     /** The one-byte HealthRequest answer for this tick. */
     HealthState healthStateNow() const;
@@ -242,7 +249,7 @@ class Server
     std::atomic<bool> running_{false};
     std::atomic<bool> stopping_{false};
 
-    std::vector<Listener> listeners_;
+    std::vector<int> listeners_; ///< listening socket fds
     int boundTcpPort_ = -1;
     int wakePipe_[2] = {-1, -1};
 
@@ -263,16 +270,16 @@ class Server
     std::size_t lastQueueBytes_ = 0;
     LoadGovernor::Level lastLevel_ = LoadGovernor::Level::Normal;
 
-    mutable std::mutex sessionsMutex_;
-    std::vector<std::shared_ptr<Session>> sessions_;
+    /** Connected sessions, in accept order; I/O thread only. */
+    std::vector<SessionPtr> sessions_;
 
-    /** Pipelines of disconnected sessions, keyed by session-id hex;
-     *  under sessionsMutex_ (entries destroyed outside the lock). */
-    std::map<std::string, std::shared_ptr<Parked>> parked_;
+    /** Parked sessions, keyed by session-id hex; I/O thread only. */
+    std::map<std::string, SessionPtr> parked_;
 
     ResultSpool spool_;
 
-    /** stats(), under sessionsMutex_. */
+    /** Written by the I/O thread (count()), read by stats(). */
+    mutable std::mutex statsMutex_;
     ServerStats stats_;
 };
 
