@@ -3,14 +3,10 @@
 #include <cerrno>
 #include <cstring>
 
-#ifndef _WIN32
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
-#else
-#include <cstdio>
-#endif
 
 #include "common/io/fault_injection.hpp"
 
@@ -108,8 +104,6 @@ CheckedFile::failWith(IoErrorKind kind, int sys_errno, uint64_t at,
     }
     return false;
 }
-
-#ifndef _WIN32
 
 bool
 CheckedFile::open(const std::string &path, Mode mode)
@@ -318,216 +312,5 @@ CheckedFile::close()
                         "close");
     return error_.ok();
 }
-
-#else // _WIN32 fallback: FILE*-based, no fsync, handle kept by path.
-
-// The portable fallback keeps the same contract minus durability:
-// syncToDisk() is fflush-only and preadAt reopens by path (as the old
-// CaptureReader fallback did).  fd_ holds 0 as a liveness token and
-// file_ lives in a per-object FILE* stored via the path; to keep the
-// header free of <cstdio> we reopen for each positioned read.
-
-bool
-CheckedFile::open(const std::string &path, Mode mode)
-{
-    if (isOpen())
-        return failWith(IoErrorKind::OpenFailed, 0, 0,
-                        "file already open");
-    path_ = path;
-    error_ = IoError{};
-    offset_ = 0;
-    const char *flags = mode == Mode::Read ? "rb"
-                        : mode == Mode::WriteTruncate ? "wb"
-                                                      : "w+b";
-    std::FILE *f = std::fopen(path.c_str(), flags);
-    if (f == nullptr)
-        return failWith(IoErrorKind::OpenFailed, errno, 0, "open");
-    handle_ = f;
-    fd_ = 0;
-    return true;
-}
-
-bool
-CheckedFile::writeAll(const void *data, std::size_t len,
-                      const char *context)
-{
-    if (!error_.ok())
-        return false;
-    if (!isOpen())
-        return failWith(IoErrorKind::NotOpen, 0, offset_, context);
-    auto *f = static_cast<std::FILE *>(handle_);
-    const auto *p = static_cast<const uint8_t *>(data);
-    const uint64_t start = offset_;
-    while (len > 0) {
-        std::size_t want = len;
-        int forced_errno = 0;
-        bool forced_eintr = false;
-        if (FaultInjector::armed()) {
-            const auto d = FaultInjector::onWrite(want);
-            want = d.allow;
-            forced_errno = d.failErrno;
-            forced_eintr = d.eintr;
-        }
-        if (want > 0) {
-            const std::size_t got = std::fwrite(p, 1, want, f);
-            p += got;
-            len -= got;
-            offset_ += got;
-            if (got < want)
-                return failWith(offset_ > start
-                                    ? IoErrorKind::ShortWrite
-                                    : IoErrorKind::WriteFailed,
-                                errno, offset_, context);
-        }
-        if (forced_eintr)
-            continue;
-        if (forced_errno != 0) {
-            const IoErrorKind kind =
-                forced_errno == ENOSPC ? IoErrorKind::NoSpace
-                : offset_ > start      ? IoErrorKind::ShortWrite
-                                       : IoErrorKind::WriteFailed;
-            return failWith(kind, forced_errno, offset_, context);
-        }
-    }
-    return true;
-}
-
-bool
-CheckedFile::readAll(void *data, std::size_t len, const char *context)
-{
-    if (!error_.ok())
-        return false;
-    if (!isOpen())
-        return failWith(IoErrorKind::NotOpen, 0, offset_, context);
-    IoError e;
-    if (!preadAt(offset_, data, len, context, &e)) {
-        error_ = e;
-        return false;
-    }
-    offset_ += len;
-    if (std::fseek(static_cast<std::FILE *>(handle_),
-                   static_cast<long>(offset_), SEEK_SET) != 0)
-        return failWith(IoErrorKind::SeekFailed, errno, offset_, context);
-    return true;
-}
-
-bool
-CheckedFile::preadAt(uint64_t at, void *data, std::size_t len,
-                     const char *context, IoError *error) const
-{
-    const auto fail = [&](IoErrorKind kind, int sys_errno,
-                          uint64_t where) {
-        if (error != nullptr) {
-            error->kind = kind;
-            error->sysErrno = sys_errno;
-            error->offset = where;
-            error->path = path_;
-            error->context = context != nullptr ? context : "";
-        }
-        return false;
-    };
-    if (!isOpen())
-        return fail(IoErrorKind::NotOpen, 0, at);
-    std::FILE *f = std::fopen(path_.c_str(), "rb");
-    if (f == nullptr)
-        return fail(IoErrorKind::OpenFailed, errno, at);
-    bool ok = std::fseek(f, static_cast<long>(at), SEEK_SET) == 0;
-    auto *p = static_cast<uint8_t *>(data);
-    while (ok && len > 0) {
-        std::size_t want = len;
-        int forced_errno = 0;
-        bool forced_eintr = false;
-        if (FaultInjector::armed()) {
-            const auto d = FaultInjector::onRead(want);
-            want = d.allow;
-            forced_errno = d.failErrno;
-            forced_eintr = d.eintr;
-        }
-        if (want > 0) {
-            const std::size_t got = std::fread(p, 1, want, f);
-            p += got;
-            at += got;
-            len -= got;
-            if (got < want) {
-                std::fclose(f);
-                return fail(IoErrorKind::ShortRead, 0, at);
-            }
-        }
-        if (forced_eintr)
-            continue;
-        if (forced_errno == -1) {
-            std::fclose(f);
-            return fail(IoErrorKind::ShortRead, 0, at);
-        }
-        if (forced_errno != 0) {
-            std::fclose(f);
-            return fail(IoErrorKind::ReadFailed, forced_errno, at);
-        }
-    }
-    std::fclose(f);
-    if (!ok)
-        return fail(IoErrorKind::SeekFailed, errno, at);
-    return true;
-}
-
-bool
-CheckedFile::seekTo(uint64_t at, const char *context)
-{
-    if (!error_.ok())
-        return false;
-    if (!isOpen())
-        return failWith(IoErrorKind::NotOpen, 0, at, context);
-    if (std::fseek(static_cast<std::FILE *>(handle_),
-                   static_cast<long>(at), SEEK_SET) != 0)
-        return failWith(IoErrorKind::SeekFailed, errno, at, context);
-    offset_ = at;
-    return true;
-}
-
-bool
-CheckedFile::size(uint64_t &out, const char *context)
-{
-    if (!error_.ok())
-        return false;
-    if (!isOpen())
-        return failWith(IoErrorKind::NotOpen, 0, 0, context);
-    auto *f = static_cast<std::FILE *>(handle_);
-    const long pos = std::ftell(f);
-    if (pos < 0 || std::fseek(f, 0, SEEK_END) != 0)
-        return failWith(IoErrorKind::SeekFailed, errno, 0, context);
-    const long end = std::ftell(f);
-    if (end < 0 || std::fseek(f, pos, SEEK_SET) != 0)
-        return failWith(IoErrorKind::SeekFailed, errno, 0, context);
-    out = static_cast<uint64_t>(end);
-    return true;
-}
-
-bool
-CheckedFile::syncToDisk(const char *context)
-{
-    if (!error_.ok())
-        return false;
-    if (!isOpen())
-        return failWith(IoErrorKind::NotOpen, 0, offset_, context);
-    if (std::fflush(static_cast<std::FILE *>(handle_)) != 0)
-        return failWith(IoErrorKind::SyncFailed, errno, offset_, context);
-    return true;
-}
-
-bool
-CheckedFile::close()
-{
-    if (!isOpen())
-        return error_.ok();
-    auto *f = static_cast<std::FILE *>(handle_);
-    handle_ = nullptr;
-    fd_ = -1;
-    if (std::fclose(f) != 0)
-        return failWith(IoErrorKind::CloseFailed, errno, offset_,
-                        "close");
-    return error_.ok();
-}
-
-#endif
 
 } // namespace emprof::common::io

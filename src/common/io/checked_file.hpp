@@ -160,7 +160,6 @@ class CheckedFile
                   const char *context);
 
     int fd_ = -1;
-    void *handle_ = nullptr; ///< FILE* on the portable fallback path
     uint64_t offset_ = 0;
     std::string path_;
     IoError error_;

@@ -1,7 +1,6 @@
 /**
  * @file
- * Scalar instantiation of the batch sliding-min/max kernel plus the
- * runtime SIMD dispatch shared by every batch entry point.
+ * Runtime SIMD dispatch shared by the batch analysis kernels.
  */
 
 #include "dsp/batch_minmax.hpp"
@@ -9,20 +8,9 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "dsp/batch_minmax_impl.hpp"
-
 namespace emprof::dsp {
 
 namespace detail {
-
-#if !defined(EMPROF_DISABLE_SIMD)
-// Defined in batch_minmax_avx2.cpp (compiled with -mavx2).
-void slidingMinMaxBatchAvx2(const float *x, std::size_t n, std::size_t window,
-                            float *outMin, float *outMax);
-void slidingMinMaxBatchAvx2(const double *x, std::size_t n,
-                            std::size_t window, double *outMin,
-                            double *outMax);
-#endif
 
 static bool
 cpuHasAvx2()
@@ -67,52 +55,6 @@ activeSimdVariant()
 {
     static const SimdVariant v = detail::resolveVariant();
     return v;
-}
-
-void
-slidingMinMaxBatchVariant(SimdVariant v, const float *x, std::size_t n,
-                          std::size_t window, float *outMin, float *outMax)
-{
-#if !defined(EMPROF_DISABLE_SIMD)
-    if (v == SimdVariant::Avx2 && avx2Available()) {
-        detail::slidingMinMaxBatchAvx2(x, n, window, outMin, outMax);
-        return;
-    }
-#endif
-    (void)v;
-    detail::slidingMinMaxBatchImpl<lanes::Scalar>(x, n, window, outMin,
-                                                  outMax);
-}
-
-void
-slidingMinMaxBatchVariant(SimdVariant v, const double *x, std::size_t n,
-                          std::size_t window, double *outMin, double *outMax)
-{
-#if !defined(EMPROF_DISABLE_SIMD)
-    if (v == SimdVariant::Avx2 && avx2Available()) {
-        detail::slidingMinMaxBatchAvx2(x, n, window, outMin, outMax);
-        return;
-    }
-#endif
-    (void)v;
-    detail::slidingMinMaxBatchImpl<lanes::Scalar>(x, n, window, outMin,
-                                                  outMax);
-}
-
-void
-slidingMinMaxBatch(const float *x, std::size_t n, std::size_t window,
-                   float *outMin, float *outMax)
-{
-    slidingMinMaxBatchVariant(activeSimdVariant(), x, n, window, outMin,
-                              outMax);
-}
-
-void
-slidingMinMaxBatch(const double *x, std::size_t n, std::size_t window,
-                   double *outMin, double *outMax)
-{
-    slidingMinMaxBatchVariant(activeSimdVariant(), x, n, window, outMin,
-                              outMax);
 }
 
 } // namespace emprof::dsp

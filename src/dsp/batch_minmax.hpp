@@ -1,42 +1,18 @@
 /**
  * @file
- * Batch (whole-buffer) sliding min/max with runtime SIMD dispatch.
+ * Runtime SIMD dispatch for the batch analysis kernels.
  *
- * slidingMinMaxBatch computes, for every index i,
- *
- *     outMin[i] = min(x[max(0, i-window+1) .. i])
- *     outMax[i] = max(x[max(0, i-window+1) .. i])
- *
- * i.e. exactly what streaming MinMaxFilter<T> reports sample by sample,
- * via the same VHGW block decomposition but vectorised: the per-block
- * suffix table is built with an 8-wide (float) / 4-wide (double)
- * backward log-scan, and the forward prefix+combine pass is likewise
- * vectorised.
- *
- * Parity contract:
- *  - the Scalar and Avx2 variants are the *same* templated body
- *    instantiated over the two lane policies in simd_lanes.hpp, so
- *    they are bit-identical for every input, including NaN and
- *    denormals (the scalar policy replicates intrinsic lane
- *    semantics);
- *  - for finite inputs both variants are bit-identical to the
- *    streaming MinMaxFilter<T>, because min/max are pure selections
- *    and every window extremum is selection-order independent.  For
- *    NaN inputs the streaming filter's sequential fold and the batch
- *    log-scan tree can legitimately disagree (min/max are not
- *    associative in the presence of NaN); callers that need NaN
- *    bit-parity with the streaming filter must pre-screen.
+ * The AVX2 profiler kernel (profiler/batch_pipeline_avx2.cpp) builds
+ * its VHGW sliding-min/max envelope from the lane ops and block scan
+ * in batch_minmax_impl.hpp; this header decides whether it runs.
  *
  * Dispatch: the AVX2 variant is used when (a) the library was built
  * without EMPROF_DISABLE_SIMD, (b) the CPU reports AVX2, and (c) the
- * EMPROF_SIMD environment variable does not force "scalar".  Forced
- * per-variant entry points exist for the parity tests.
+ * EMPROF_SIMD environment variable does not force "scalar".
  */
 
 #ifndef EMPROF_DSP_BATCH_MINMAX_HPP
 #define EMPROF_DSP_BATCH_MINMAX_HPP
-
-#include <cstddef>
 
 namespace emprof::dsp {
 
@@ -59,21 +35,6 @@ SimdVariant activeSimdVariant();
 
 /** True if the AVX2 kernels are compiled in and this CPU supports them. */
 bool avx2Available();
-
-/** Per-sample sliding window extrema of x[0..n); dispatched variant. */
-void slidingMinMaxBatch(const float *x, std::size_t n, std::size_t window,
-                        float *outMin, float *outMax);
-void slidingMinMaxBatch(const double *x, std::size_t n, std::size_t window,
-                        double *outMin, double *outMax);
-
-/** Forced-variant entry points (for tests). Scalar is always valid;
- *  requesting Avx2 when !avx2Available() falls back to Scalar. */
-void slidingMinMaxBatchVariant(SimdVariant v, const float *x, std::size_t n,
-                               std::size_t window, float *outMin,
-                               float *outMax);
-void slidingMinMaxBatchVariant(SimdVariant v, const double *x, std::size_t n,
-                               std::size_t window, double *outMin,
-                               double *outMax);
 
 } // namespace emprof::dsp
 

@@ -1,21 +1,19 @@
 /**
  * @file
- * Shared templated body of slidingMinMaxBatch.
- *
- * Included by exactly two translation units: batch_minmax.cpp
- * (instantiated over lanes::Scalar) and batch_minmax_avx2.cpp
- * (instantiated over lanes::Avx2, built with -mavx2 and no FMA).  Both
- * instantiations execute the identical sequence of lane operations, so
- * their outputs are bit-identical for every input — see
- * batch_minmax.hpp for the full parity contract.
+ * Sliding min/max building blocks of the AVX2 profiler kernel
+ * (profiler/batch_pipeline_avx2.cpp, built with -mavx2 and no FMA):
+ * generic 8-float / 4-double lane ops over a lane policy, and the
+ * backward suffix scan of one VHGW envelope block.  Min/max are pure
+ * selections, so for finite inputs the scan reproduces the streaming
+ * MinMaxFilter's window extrema bit for bit; the profiler's parity
+ * suites (tests/profiler/test_batch_pipeline.cpp) hold it to that.
  */
 
 #ifndef EMPROF_DSP_BATCH_MINMAX_IMPL_HPP
 #define EMPROF_DSP_BATCH_MINMAX_IMPL_HPP
 
-#include <algorithm>
+#include <cstddef>
 #include <limits>
-#include <vector>
 
 #include "dsp/simd_lanes.hpp"
 
@@ -33,7 +31,6 @@ struct OpsF
     static void storeu(T *p, V v) { L::f8_storeu(p, v); }
     static V vmin(V a, V b) { return L::f8_min(a, b); }
     static V vmax(V a, V b) { return L::f8_max(a, b); }
-    static V bcastLast(V v) { return L::f8_broadcast7(v); }
     static V bcastFirst(V v) { return L::f8_broadcast0(v); }
     static T lane0(V v) { return L::f8_lane0(v); }
     /** In-vector prefix (upward) min log-scan. */
@@ -88,25 +85,8 @@ struct OpsD
     static void storeu(T *p, V v) { L::d4_storeu(p, v); }
     static V vmin(V a, V b) { return L::d4_min(a, b); }
     static V vmax(V a, V b) { return L::d4_max(a, b); }
-    static V bcastLast(V v) { return L::d4_broadcast3(v); }
     static V bcastFirst(V v) { return L::d4_broadcast0(v); }
     static T lane0(V v) { return L::d4_lane0(v); }
-    static V
-    scanUpMin(V v, V fill)
-    {
-        V m = v;
-        m = L::d4_min(m, L::template d4_slide_up<1>(m, fill));
-        m = L::d4_min(m, L::template d4_slide_up<2>(m, fill));
-        return m;
-    }
-    static V
-    scanUpMax(V v, V fill)
-    {
-        V m = v;
-        m = L::d4_max(m, L::template d4_slide_up<1>(m, fill));
-        m = L::d4_max(m, L::template d4_slide_up<2>(m, fill));
-        return m;
-    }
     static V
     scanDnMin(V v, V fill)
     {
@@ -123,19 +103,6 @@ struct OpsD
         m = L::d4_max(m, L::template d4_slide_dn<2>(m, fill));
         return m;
     }
-};
-
-template <class L, typename T>
-struct OpsFor;
-template <class L>
-struct OpsFor<L, float>
-{
-    using type = OpsF<L>;
-};
-template <class L>
-struct OpsFor<L, double>
-{
-    using type = OpsD<L>;
 };
 
 /**
@@ -177,101 +144,6 @@ suffixScanBlock(const T *x, std::size_t w, T *smin, T *smax)
         sM = v > sM ? v : sM;
         smin[i] = sm;
         smax[i] = sM;
-    }
-}
-
-/**
- * Forward prefix + combine pass over one (possibly partial) block.
- * sprevMin/sprevMax are the previous block's suffix tables with a
- * +inf/-inf sentinel at index w (handles the p == w-1 prefix-only
- * case branch-free); ignored when @p first is true.
- */
-template <class Ops, typename T>
-void
-forwardPassBlock(const T *x, std::size_t len, const T *sprevMin,
-                 const T *sprevMax, bool first, T *omin, T *omax)
-{
-    using V = typename Ops::V;
-    constexpr std::size_t W = Ops::W;
-    const T inf = std::numeric_limits<T>::infinity();
-    const V fmin = Ops::set1(inf);
-    const V fmax = Ops::set1(-inf);
-    V cmin = fmin;
-    V cmax = fmax;
-    std::size_t i = 0;
-    for (; i + W <= len; i += W) {
-        V v = Ops::loadu(x + i);
-        V m = Ops::scanUpMin(v, fmin);
-        V M = Ops::scanUpMax(v, fmax);
-        m = Ops::vmin(m, cmin);
-        M = Ops::vmax(M, cmax);
-        cmin = Ops::bcastLast(m);
-        cmax = Ops::bcastLast(M);
-        V lo = m;
-        V hi = M;
-        if (!first) {
-            // Suffix operand first: matches the streaming combine
-            // `sm < preMin ? sm : preMin` lane for lane.
-            lo = Ops::vmin(Ops::loadu(sprevMin + i + 1), m);
-            hi = Ops::vmax(Ops::loadu(sprevMax + i + 1), M);
-        }
-        Ops::storeu(omin + i, lo);
-        Ops::storeu(omax + i, hi);
-    }
-    T sm = Ops::lane0(cmin);
-    T sM = Ops::lane0(cmax);
-    for (; i < len; ++i) {
-        const T xv = x[i];
-        sm = xv < sm ? xv : sm;
-        sM = xv > sM ? xv : sM;
-        T lo = sm;
-        T hi = sM;
-        if (!first) {
-            T a = sprevMin[i + 1];
-            lo = a < lo ? a : lo;
-            a = sprevMax[i + 1];
-            hi = a > hi ? a : hi;
-        }
-        omin[i] = lo;
-        omax[i] = hi;
-    }
-}
-
-/** Full batch kernel: VHGW blocks of @p w anchored at index 0. */
-template <class L, typename T>
-void
-slidingMinMaxBatchImpl(const T *x, std::size_t n, std::size_t w, T *omin,
-                       T *omax)
-{
-    using Ops = typename OpsFor<L, T>::type;
-    constexpr std::size_t W = Ops::W;
-    if (n == 0)
-        return;
-    if (w == 0)
-        w = 1; // match MinMaxFilter's zero-window clamp
-    const T inf = std::numeric_limits<T>::infinity();
-
-    // Two suffix-table buffers (previous / current block), each with a
-    // sentinel at [w] and W slack lanes for unmasked vector loads.
-    std::vector<T> bufMinA(w + W, inf), bufMaxA(w + W, -inf);
-    std::vector<T> bufMinB(w + W, inf), bufMaxB(w + W, -inf);
-    T *sprevMin = bufMinA.data();
-    T *sprevMax = bufMaxA.data();
-    T *scurMin = bufMinB.data();
-    T *scurMax = bufMaxB.data();
-
-    const std::size_t nblocks = (n + w - 1) / w;
-    for (std::size_t b = 0; b < nblocks; ++b) {
-        const std::size_t B = b * w;
-        const std::size_t len = std::min(w, n - B);
-        forwardPassBlock<Ops, T>(x + B, len, sprevMin, sprevMax, b == 0,
-                                 omin + B, omax + B);
-        if (b + 1 < nblocks) {
-            // Not the last block, so this block is complete (len == w).
-            suffixScanBlock<Ops, T>(x + B, w, scurMin, scurMax);
-            std::swap(sprevMin, scurMin);
-            std::swap(sprevMax, scurMax);
-        }
     }
 }
 

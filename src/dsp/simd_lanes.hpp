@@ -1,398 +1,32 @@
 /**
  * @file
- * Lane-level operation policies shared by the batch SIMD kernels.
+ * AVX2 lane operations of the profiler's batch kernel.
  *
- * The batch kernels (dsp::slidingMinMaxBatch, the profiler batch
- * pipeline) are written once as templates over a *policy* type that
- * supplies 8-wide float and 4-wide double lane operations.  Two
- * policies exist:
- *
- *  - lanes::Scalar — plain arrays, one C expression per lane.  This is
- *    the reference implementation and compiles everywhere.
- *  - lanes::Avx2  — AVX2 intrinsics, compiled only in translation
- *    units built with -mavx2 (guarded by __AVX2__).
- *
- * Bit-parity between the two variants is by construction: every Scalar
- * operation replicates the exact per-lane semantics of the matching
- * intrinsic, including tie and NaN behaviour:
- *
- *  - min(a,b) per lane is `a < b ? a : b` (returns b on ties and when
- *    either operand is NaN), exactly like _mm256_min_ps/_pd;
- *  - max(a,b) per lane is `a > b ? a : b`, like _mm256_max_ps/_pd;
- *  - ordered-quiet compares (lt/le) are false when a lane is NaN;
- *  - horizontal reductions use one fixed combining tree, spelled out
- *    lane by lane in the Scalar policy and with the identical pairing
- *    in the Avx2 policy.
- *
- * No FMA is used anywhere (the AVX2 translation units are built with
- * -mavx2 but *not* -mfma), so mul/sub/add/div round identically in
- * both variants.
+ * lanes::Avx2 supplies the 8-wide float and 4-wide double operations
+ * that the generic wrappers in batch_minmax_impl.hpp (OpsF / OpsD) and
+ * the kernel in profiler/batch_pipeline_avx2.cpp are written against.
+ * It is visible only in translation units built with -mavx2.  No FMA
+ * is used anywhere (those units are built without -mfma), so every
+ * arithmetic operation rounds exactly like the scalar streaming
+ * reference it is held bit-identical to.
  */
 
 #ifndef EMPROF_DSP_SIMD_LANES_HPP
 #define EMPROF_DSP_SIMD_LANES_HPP
 
-#include <cmath>
-#include <cstddef>
-#include <cstdint>
-
-#if defined(__AVX2__)
-#include <immintrin.h>
+#if !defined(__AVX2__)
+#error "simd_lanes.hpp is only for translation units built with -mavx2"
 #endif
 
+#include <immintrin.h>
+
 namespace emprof::dsp::lanes {
-
-/** Reference policy: arrays with intrinsic-identical lane semantics. */
-struct Scalar
-{
-    static constexpr bool kSimd = false;
-    static constexpr const char *kName = "scalar";
-
-    struct F8
-    {
-        float l[8];
-    };
-    struct D4
-    {
-        double l[4];
-    };
-    /** Compare results: one sign-bit-style flag per lane. */
-    struct MF8
-    {
-        bool l[8];
-    };
-    struct MD4
-    {
-        bool l[4];
-    };
-
-    // ---- 8-wide float ----
-    static F8
-    f8_set1(float x)
-    {
-        F8 r;
-        for (int k = 0; k < 8; ++k)
-            r.l[k] = x;
-        return r;
-    }
-    static F8
-    f8_loadu(const float *p)
-    {
-        F8 r;
-        for (int k = 0; k < 8; ++k)
-            r.l[k] = p[k];
-        return r;
-    }
-    static void
-    f8_storeu(float *p, F8 v)
-    {
-        for (int k = 0; k < 8; ++k)
-            p[k] = v.l[k];
-    }
-    static F8
-    f8_min(F8 a, F8 b)
-    {
-        F8 r;
-        for (int k = 0; k < 8; ++k)
-            r.l[k] = a.l[k] < b.l[k] ? a.l[k] : b.l[k];
-        return r;
-    }
-    static F8
-    f8_max(F8 a, F8 b)
-    {
-        F8 r;
-        for (int k = 0; k < 8; ++k)
-            r.l[k] = a.l[k] > b.l[k] ? a.l[k] : b.l[k];
-        return r;
-    }
-    static F8
-    f8_sub(F8 a, F8 b)
-    {
-        F8 r;
-        for (int k = 0; k < 8; ++k)
-            r.l[k] = a.l[k] - b.l[k];
-        return r;
-    }
-    static F8
-    f8_mul(F8 a, F8 b)
-    {
-        F8 r;
-        for (int k = 0; k < 8; ++k)
-            r.l[k] = a.l[k] * b.l[k];
-        return r;
-    }
-    template <int S>
-    static F8
-    f8_slide_up(F8 v, F8 fill)
-    {
-        F8 r;
-        for (int k = 0; k < 8; ++k)
-            r.l[k] = k < S ? fill.l[k] : v.l[k - S];
-        return r;
-    }
-    template <int S>
-    static F8
-    f8_slide_dn(F8 v, F8 fill)
-    {
-        F8 r;
-        for (int k = 0; k < 8; ++k)
-            r.l[k] = k + S > 7 ? fill.l[k] : v.l[k + S];
-        return r;
-    }
-    static float
-    f8_lane0(F8 v)
-    {
-        return v.l[0];
-    }
-    static F8
-    f8_broadcast0(F8 v)
-    {
-        return f8_set1(v.l[0]);
-    }
-    static F8
-    f8_broadcast7(F8 v)
-    {
-        return f8_set1(v.l[7]);
-    }
-    static MF8
-    f8_lt(F8 a, F8 b)
-    {
-        MF8 r;
-        for (int k = 0; k < 8; ++k)
-            r.l[k] = a.l[k] < b.l[k];
-        return r;
-    }
-    static int
-    mf8_bits(MF8 m)
-    {
-        int b = 0;
-        for (int k = 0; k < 8; ++k)
-            b |= int(m.l[k]) << k;
-        return b;
-    }
-    /** Fixed tree: (0,4)(1,5)(2,6)(3,7) -> (04,26)(15,37) -> r. */
-    static float
-    f8_hmin(F8 v)
-    {
-        const float m04 = v.l[0] < v.l[4] ? v.l[0] : v.l[4];
-        const float m15 = v.l[1] < v.l[5] ? v.l[1] : v.l[5];
-        const float m26 = v.l[2] < v.l[6] ? v.l[2] : v.l[6];
-        const float m37 = v.l[3] < v.l[7] ? v.l[3] : v.l[7];
-        const float a0 = m04 < m26 ? m04 : m26;
-        const float a1 = m15 < m37 ? m15 : m37;
-        return a0 < a1 ? a0 : a1;
-    }
-    static float
-    f8_hmax(F8 v)
-    {
-        const float m04 = v.l[0] > v.l[4] ? v.l[0] : v.l[4];
-        const float m15 = v.l[1] > v.l[5] ? v.l[1] : v.l[5];
-        const float m26 = v.l[2] > v.l[6] ? v.l[2] : v.l[6];
-        const float m37 = v.l[3] > v.l[7] ? v.l[3] : v.l[7];
-        const float a0 = m04 > m26 ? m04 : m26;
-        const float a1 = m15 > m37 ? m15 : m37;
-        return a0 > a1 ? a0 : a1;
-    }
-
-    // ---- float8 <-> double4 ----
-    static D4
-    cvt_lo(F8 v)
-    {
-        D4 r;
-        for (int k = 0; k < 4; ++k)
-            r.l[k] = double(v.l[k]);
-        return r;
-    }
-    static D4
-    cvt_hi(F8 v)
-    {
-        D4 r;
-        for (int k = 0; k < 4; ++k)
-            r.l[k] = double(v.l[k + 4]);
-        return r;
-    }
-
-    // ---- 4-wide double ----
-    static D4
-    d4_set1(double x)
-    {
-        D4 r;
-        for (int k = 0; k < 4; ++k)
-            r.l[k] = x;
-        return r;
-    }
-    static D4
-    d4_loadu(const double *p)
-    {
-        D4 r;
-        for (int k = 0; k < 4; ++k)
-            r.l[k] = p[k];
-        return r;
-    }
-    static void
-    d4_storeu(double *p, D4 v)
-    {
-        for (int k = 0; k < 4; ++k)
-            p[k] = v.l[k];
-    }
-    static D4
-    d4_add(D4 a, D4 b)
-    {
-        D4 r;
-        for (int k = 0; k < 4; ++k)
-            r.l[k] = a.l[k] + b.l[k];
-        return r;
-    }
-    static D4
-    d4_sub(D4 a, D4 b)
-    {
-        D4 r;
-        for (int k = 0; k < 4; ++k)
-            r.l[k] = a.l[k] - b.l[k];
-        return r;
-    }
-    static D4
-    d4_mul(D4 a, D4 b)
-    {
-        D4 r;
-        for (int k = 0; k < 4; ++k)
-            r.l[k] = a.l[k] * b.l[k];
-        return r;
-    }
-    static D4
-    d4_div(D4 a, D4 b)
-    {
-        D4 r;
-        for (int k = 0; k < 4; ++k)
-            r.l[k] = a.l[k] / b.l[k];
-        return r;
-    }
-    static D4
-    d4_min(D4 a, D4 b)
-    {
-        D4 r;
-        for (int k = 0; k < 4; ++k)
-            r.l[k] = a.l[k] < b.l[k] ? a.l[k] : b.l[k];
-        return r;
-    }
-    static D4
-    d4_max(D4 a, D4 b)
-    {
-        D4 r;
-        for (int k = 0; k < 4; ++k)
-            r.l[k] = a.l[k] > b.l[k] ? a.l[k] : b.l[k];
-        return r;
-    }
-    static D4
-    d4_abs(D4 a)
-    {
-        D4 r;
-        for (int k = 0; k < 4; ++k)
-            r.l[k] = std::fabs(a.l[k]);
-        return r;
-    }
-    template <int S>
-    static D4
-    d4_slide_up(D4 v, D4 fill)
-    {
-        D4 r;
-        for (int k = 0; k < 4; ++k)
-            r.l[k] = k < S ? fill.l[k] : v.l[k - S];
-        return r;
-    }
-    template <int S>
-    static D4
-    d4_slide_dn(D4 v, D4 fill)
-    {
-        D4 r;
-        for (int k = 0; k < 4; ++k)
-            r.l[k] = k + S > 3 ? fill.l[k] : v.l[k + S];
-        return r;
-    }
-    static double
-    d4_lane0(D4 v)
-    {
-        return v.l[0];
-    }
-    static D4
-    d4_broadcast0(D4 v)
-    {
-        return d4_set1(v.l[0]);
-    }
-    static D4
-    d4_broadcast3(D4 v)
-    {
-        return d4_set1(v.l[3]);
-    }
-    static MD4
-    d4_lt(D4 a, D4 b)
-    {
-        MD4 r;
-        for (int k = 0; k < 4; ++k)
-            r.l[k] = a.l[k] < b.l[k];
-        return r;
-    }
-    static MD4
-    d4_le(D4 a, D4 b)
-    {
-        MD4 r;
-        for (int k = 0; k < 4; ++k)
-            r.l[k] = a.l[k] <= b.l[k];
-        return r;
-    }
-    static MD4
-    md4_or(MD4 a, MD4 b)
-    {
-        MD4 r;
-        for (int k = 0; k < 4; ++k)
-            r.l[k] = a.l[k] || b.l[k];
-        return r;
-    }
-    static D4
-    d4_blendv(D4 a, D4 b, MD4 m)
-    {
-        D4 r;
-        for (int k = 0; k < 4; ++k)
-            r.l[k] = m.l[k] ? b.l[k] : a.l[k];
-        return r;
-    }
-    static int
-    md4_bits(MD4 m)
-    {
-        int b = 0;
-        for (int k = 0; k < 4; ++k)
-            b |= int(m.l[k]) << k;
-        return b;
-    }
-    /** Fixed tree: (0,2)(1,3) -> r, like min_pd(lo128,hi128). */
-    static double
-    d4_hmin(D4 v)
-    {
-        const double m02 = v.l[0] < v.l[2] ? v.l[0] : v.l[2];
-        const double m13 = v.l[1] < v.l[3] ? v.l[1] : v.l[3];
-        return m02 < m13 ? m02 : m13;
-    }
-    static double
-    d4_hmax(D4 v)
-    {
-        const double m02 = v.l[0] > v.l[2] ? v.l[0] : v.l[2];
-        const double m13 = v.l[1] > v.l[3] ? v.l[1] : v.l[3];
-        return m02 > m13 ? m02 : m13;
-    }
-};
-
-#if defined(__AVX2__)
 
 /** AVX2 policy; only visible in TUs compiled with -mavx2 (no FMA). */
 struct Avx2
 {
-    static constexpr bool kSimd = true;
-    static constexpr const char *kName = "avx2";
-
     using F8 = __m256;
     using D4 = __m256d;
-    using MF8 = __m256;
-    using MD4 = __m256d;
 
     // ---- 8-wide float ----
     static F8 f8_set1(float x) { return _mm256_set1_ps(x); }
@@ -400,8 +34,6 @@ struct Avx2
     static void f8_storeu(float *p, F8 v) { _mm256_storeu_ps(p, v); }
     static F8 f8_min(F8 a, F8 b) { return _mm256_min_ps(a, b); }
     static F8 f8_max(F8 a, F8 b) { return _mm256_max_ps(a, b); }
-    static F8 f8_sub(F8 a, F8 b) { return _mm256_sub_ps(a, b); }
-    static F8 f8_mul(F8 a, F8 b) { return _mm256_mul_ps(a, b); }
     template <int S>
     static F8
     f8_slide_up(F8 v, F8 fill)
@@ -446,13 +78,6 @@ struct Avx2
     {
         return _mm256_permutevar8x32_ps(v, _mm256_setzero_si256());
     }
-    static F8
-    f8_broadcast7(F8 v)
-    {
-        return _mm256_permutevar8x32_ps(v, _mm256_set1_epi32(7));
-    }
-    static MF8 f8_lt(F8 a, F8 b) { return _mm256_cmp_ps(a, b, _CMP_LT_OQ); }
-    static int mf8_bits(MF8 m) { return _mm256_movemask_ps(m); }
     static float
     f8_hmin(F8 v)
     {
@@ -480,31 +105,8 @@ struct Avx2
     static D4 d4_set1(double x) { return _mm256_set1_pd(x); }
     static D4 d4_loadu(const double *p) { return _mm256_loadu_pd(p); }
     static void d4_storeu(double *p, D4 v) { _mm256_storeu_pd(p, v); }
-    static D4 d4_add(D4 a, D4 b) { return _mm256_add_pd(a, b); }
-    static D4 d4_sub(D4 a, D4 b) { return _mm256_sub_pd(a, b); }
-    static D4 d4_mul(D4 a, D4 b) { return _mm256_mul_pd(a, b); }
-    static D4 d4_div(D4 a, D4 b) { return _mm256_div_pd(a, b); }
     static D4 d4_min(D4 a, D4 b) { return _mm256_min_pd(a, b); }
     static D4 d4_max(D4 a, D4 b) { return _mm256_max_pd(a, b); }
-    static D4
-    d4_abs(D4 a)
-    {
-        const __m256d signbit = _mm256_set1_pd(-0.0);
-        return _mm256_andnot_pd(signbit, a);
-    }
-    template <int S>
-    static D4
-    d4_slide_up(D4 v, D4 fill)
-    {
-        static_assert(S == 1 || S == 2);
-        if constexpr (S == 1) {
-            __m256d r = _mm256_permute4x64_pd(v, _MM_SHUFFLE(2, 1, 0, 0));
-            return _mm256_blend_pd(r, fill, 0x01);
-        } else {
-            __m256d r = _mm256_permute4x64_pd(v, _MM_SHUFFLE(1, 0, 0, 0));
-            return _mm256_blend_pd(r, fill, 0x03);
-        }
-    }
     template <int S>
     static D4
     d4_slide_dn(D4 v, D4 fill)
@@ -524,16 +126,6 @@ struct Avx2
     {
         return _mm256_permute4x64_pd(v, _MM_SHUFFLE(0, 0, 0, 0));
     }
-    static D4
-    d4_broadcast3(D4 v)
-    {
-        return _mm256_permute4x64_pd(v, _MM_SHUFFLE(3, 3, 3, 3));
-    }
-    static MD4 d4_lt(D4 a, D4 b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
-    static MD4 d4_le(D4 a, D4 b) { return _mm256_cmp_pd(a, b, _CMP_LE_OQ); }
-    static MD4 md4_or(MD4 a, MD4 b) { return _mm256_or_pd(a, b); }
-    static D4 d4_blendv(D4 a, D4 b, MD4 m) { return _mm256_blendv_pd(a, b, m); }
-    static int md4_bits(MD4 m) { return _mm256_movemask_pd(m); }
     static double
     d4_hmin(D4 v)
     {
@@ -551,8 +143,6 @@ struct Avx2
         return _mm_cvtsd_f64(a);
     }
 };
-
-#endif // __AVX2__
 
 } // namespace emprof::dsp::lanes
 

@@ -28,9 +28,8 @@
  * skipped samples are exactly the ones the streaming detector treats
  * as no-ops, so even the detector's internal accumulators match.  NaN
  * inputs: sliding extrema of a window containing NaN are
- * fold-order-dependent, so the batch path may diverge from streaming
- * (same caveat as dsp::slidingMinMaxBatch); no capture format produces
- * NaN magnitudes.
+ * fold-order-dependent, so the batch path may diverge from streaming;
+ * no capture format produces NaN magnitudes.
  *
  * Memory: both size their envelope tables by min(normalisation window,
  * samples the call sees), so a short input costs what it holds however

@@ -7,7 +7,7 @@
  * plain-C streaming reference).
  *
  * Structure, per normalisation-window-sized block (the VHGW
- * decomposition used by dsp::slidingMinMaxBatch):
+ * sliding-min/max decomposition, with dsp::detail::suffixScanBlock):
  *
  *  1. a backward vector scan builds the block's suffix-extrema tables
  *     (and, as a by-product, the block totals);

@@ -180,8 +180,17 @@ Client::sendData(const uint8_t *data, std::size_t bytes,
 {
     if (fd_ < 0)
         return fail(error, "not connected");
-    return writeFrame(fd_, FrameType::Data, data, bytes, error,
-                      connectionLost);
+    // One Data frame carries at most kMaxFramePayload bytes; the
+    // server reassembles the stream, so the cut points are invisible.
+    std::size_t off = 0;
+    do {
+        const std::size_t take = std::min(bytes - off, kMaxFramePayload);
+        if (!writeFrame(fd_, FrameType::Data, data + off, take, error,
+                        connectionLost))
+            return false;
+        off += take;
+    } while (off < bytes);
+    return true;
 }
 
 /**
@@ -539,29 +548,6 @@ Client::scrape(const Endpoint &endpoint, std::string &text,
         return fail(error, "unexpected reply to StatsRequest");
     text.assign(reply.payload.begin(), reply.payload.end());
     return true;
-}
-
-PushResult
-pushCapture(const Endpoint &endpoint, const std::string &capturePath,
-            bool resilient, std::size_t uploadChunkBytes)
-{
-    PushResult result;
-    std::ifstream in(capturePath, std::ios::binary);
-    if (!in) {
-        result.error = "cannot open " + capturePath;
-        return result;
-    }
-    std::vector<uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    Client client;
-    std::string error;
-    if (!client.connect(endpoint, &error)) {
-        result.error = error;
-        return result;
-    }
-    return client.push(bytes.data(), bytes.size(), resilient,
-                       uploadChunkBytes);
 }
 
 PushResult

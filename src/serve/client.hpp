@@ -146,6 +146,8 @@ class Client
                      bool *connectionLost = nullptr,
                      uint32_t *retryAfterMs = nullptr);
 
+    /** Send @p bytes of the upload, cut into Data frames of at most
+     *  kMaxFramePayload bytes each. */
     bool sendData(const uint8_t *data, std::size_t bytes,
                   std::string *error = nullptr,
                   bool *connectionLost = nullptr);
@@ -166,12 +168,6 @@ class Client
 
     int fd_ = -1;
 };
-
-/** Convenience: connect + push a capture file's bytes in one call. */
-PushResult pushCapture(const Endpoint &endpoint,
-                       const std::string &capturePath,
-                       bool resilient = false,
-                       std::size_t uploadChunkBytes = 256 * 1024);
 
 /** Convenience: read a capture file and push it resumably. */
 PushResult pushCaptureResumable(const Endpoint &endpoint,

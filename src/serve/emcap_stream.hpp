@@ -10,23 +10,22 @@
  *
  *     FileHeader → [ChunkHeader + payload]* → footer (skipped)
  *
- * Every integrity check of the on-disk reader is applied on the fly —
- * header magic/version/CRC, per-chunk CRC32C over header + payload,
- * codec plausibility — so a corrupted or hostile upload yields a typed
- * error at the first bad byte, never undefined behaviour, and never
- * more than one chunk of buffered payload (bounded memory per
- * session).
+ * The file header and every chunk go through the verifier CaptureReader
+ * uses (store/emcap_verify.hpp), each chunk header before its payload
+ * is buffered, so a corrupted or hostile upload yields the typed error
+ * the file would, never undefined behaviour, and never more than one
+ * chunk of buffered payload (bounded memory per session).
  *
  * The header's totalSamples field tells the decoder where the chunk
  * region ends (the writer back-patches it on finalize, so any capture
- * a client can legitimately push has it).  Once that many samples are
- * decoded, the remaining bytes are the footer index + tail: they are
- * counted and their last four bytes tracked, and completeness is
- * checked at end-of-upload — the footer must be exactly
- * 24 bytes/chunk + 24 and end in the EMCF magic.  An upload cut short
- * anywhere (mid-chunk, mid-footer, before the footer) therefore fails
- * complete() with a reason, matching emprof_analyze's refusal to
- * analyse a truncated capture without --recover.
+ * a client can legitimately push has it; zero is refused, and no chunk
+ * may run past it).  The footer index + tail that follow are not
+ * verified: at end-of-upload only their length (24 bytes/chunk + 24)
+ * and the trailing EMCF magic are checked, never the footer CRC or the
+ * index entries.  An upload cut short anywhere (mid-chunk, mid-footer,
+ * before the footer) therefore fails complete() with a reason,
+ * matching emprof_analyze's refusal to analyse a truncated capture
+ * without --recover.
  */
 
 #ifndef EMPROF_SERVE_EMCAP_STREAM_HPP
@@ -38,8 +37,7 @@
 #include <vector>
 
 #include "dsp/types.hpp"
-#include "store/capture_reader.hpp"
-#include "store/emcap_format.hpp"
+#include "store/emcap_verify.hpp"
 
 namespace emprof::serve {
 
@@ -64,10 +62,6 @@ class EmcapStreamDecoder
 
     /** Capture metadata; valid once headerReady(). */
     const store::CaptureInfo &info() const { return info_; }
-
-    uint64_t samplesDecoded() const { return samplesDecoded_; }
-    uint64_t chunksDecoded() const { return chunksDecoded_; }
-    uint64_t bytesConsumed() const { return bytesConsumed_; }
 
     /**
      * The highest element-aligned byte offset that is durably part of

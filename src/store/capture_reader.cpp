@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdio>
 #include <cstring>
 
 #include "obs/metrics.hpp"
@@ -14,6 +13,14 @@ namespace emprof::store {
 
 namespace {
 
+bool
+fail(std::string *error, const std::string &message)
+{
+    if (error != nullptr)
+        *error = message;
+    return false;
+}
+
 void
 countCrcFailure()
 {
@@ -24,9 +31,6 @@ countCrcFailure()
             "store.read.crc_failures");
     failures.inc();
 }
-
-const char *const kTooManySamples =
-    "declares more samples than its payload can encode";
 
 } // namespace
 
@@ -40,8 +44,6 @@ CaptureReader::preadAt(uint64_t offset, void *buf, std::size_t len,
     return fail(error, e.describe());
 }
 
-CaptureReader::~CaptureReader() { close(); }
-
 void
 CaptureReader::close()
 {
@@ -52,62 +54,41 @@ CaptureReader::close()
 }
 
 bool
-CaptureReader::fail(std::string *error, const std::string &message) const
+CaptureReader::openHeader(const std::string &path, std::string &why)
 {
-    if (error != nullptr)
-        *error = message;
+    close();
+    FileHeader header{};
+    if (!file_.open(path, common::io::CheckedFile::Mode::Read))
+        why = "cannot open " + path + ": " + file_.error().describe();
+    else if (!file_.size(fileSize_, "stat"))
+        why = "cannot stat " + path;
+    // The 72-byte header is written first, before any chunk, and never
+    // moves; without it there is no codec to decode chunks with.
+    else if (fileSize_ < sizeof(FileHeader))
+        why = "file shorter than the EMCAP header";
+    else
+        return preadAt(0, &header, sizeof(header), "file header", &why) &&
+               checkFileHeader(header, info_, &why);
     return false;
-}
-
-bool
-CaptureReader::loadHeader(FileHeader &header, std::string *error)
-{
-    if (!preadAt(0, &header, sizeof(header), "file header", error))
-        return false;
-    if (std::memcmp(header.magic, kEmcapMagic, sizeof(kEmcapMagic)) != 0)
-        return fail(error, "bad magic: not an EMCAP file");
-    if (header.version != kEmcapVersion)
-        return fail(error, "unsupported EMCAP version");
-    if (crc32c(0, &header, offsetof(FileHeader, headerCrc)) !=
-        header.headerCrc)
-        return fail(error, "file header CRC mismatch");
-    if (header.codec != static_cast<uint32_t>(SampleCodec::F32) &&
-        header.codec != static_cast<uint32_t>(SampleCodec::QuantI16))
-        return fail(error, "unknown sample codec");
-    return true;
 }
 
 bool
 CaptureReader::open(const std::string &path, std::string *error)
 {
-    close();
-    if (!file_.open(path, common::io::CheckedFile::Mode::Read)) {
-        const std::string why = file_.error().describe();
-        close();
-        return fail(error, "cannot open " + path + ": " + why);
-    }
-
     const auto bail = [&](const std::string &message) {
         close();
         return fail(error, message);
     };
-
-    if (!file_.size(fileSize_, "stat"))
-        return bail("cannot stat " + path);
+    std::string why;
+    if (!openHeader(path, why))
+        return bail(why);
     if (fileSize_ < sizeof(FileHeader) + sizeof(FooterTail))
         return bail("file too short to be an EMCAP capture");
 
-    FileHeader header{};
-    std::string header_error;
-    if (!loadHeader(header, &header_error))
-        return bail(header_error);
-
     FooterTail tail{};
     if (!preadAt(fileSize_ - sizeof(tail), &tail, sizeof(tail),
-                 "footer tail", error)) {
-        close();
-        return false;
-    }
+                 "footer tail", &why))
+        return bail(why);
     if (std::memcmp(tail.magic, kFooterMagic, sizeof(kFooterMagic)) != 0)
         return bail("bad footer magic (truncated file? try recovery)");
 
@@ -128,23 +109,19 @@ CaptureReader::open(const std::string &path, std::string *error)
     index_.resize(static_cast<std::size_t>(tail.chunkCount));
     if (index_bytes != 0 &&
         !preadAt(footer_start, index_.data(), index_bytes,
-                 "footer index", error)) {
-        close();
-        return false;
-    }
-
+                 "footer index", &why))
+        return bail(why);
     uint32_t crc = crc32c(0, index_.data(), index_bytes);
     crc = crc32c(crc, &tail, offsetof(FooterTail, footerCrc));
     if (crc != tail.footerCrc)
         return bail("footer CRC mismatch");
-    if (tail.totalSamples != header.totalSamples)
+    if (tail.totalSamples != info_.totalSamples)
         return bail("header/footer sample counts disagree");
 
     // The chunk stream must tile [header, footer) exactly, and no
     // entry may claim more samples than its bytes hold under either
     // encoding (the index does not say which): the counts size every
     // decode buffer downstream.
-    const auto codec = static_cast<SampleCodec>(header.codec);
     uint64_t offset = sizeof(FileHeader);
     uint64_t samples = 0;
     for (std::size_t i = 0; i < index_.size(); ++i) {
@@ -156,26 +133,19 @@ CaptureReader::open(const std::string &path, std::string *error)
             return bail("footer index inconsistent");
         const uint64_t payload = entry.storedBytes - sizeof(ChunkHeader);
         if (entry.sampleCount >
-            std::max(maxChunkSamples(payload, ChunkEncoding::Raw, codec),
-                     maxChunkSamples(payload, ChunkEncoding::DeltaPacked,
-                                     codec)))
-            return bail("footer index: chunk " + std::to_string(i) + " " +
-                        kTooManySamples);
+            std::max(
+                maxChunkSamples(payload, ChunkEncoding::Raw, info_.codec),
+                maxChunkSamples(payload, ChunkEncoding::DeltaPacked,
+                                info_.codec)))
+            return bail("footer index: chunk " + std::to_string(i) +
+                        " declares more samples than its payload can "
+                        "encode");
         offset += entry.storedBytes;
         samples += entry.sampleCount;
     }
     if (offset != footer_start || samples != tail.totalSamples)
         return bail("chunks do not tile the file");
 
-    info_.version = header.version;
-    info_.codec = static_cast<SampleCodec>(header.codec);
-    info_.quantBits = header.quantBits;
-    info_.sampleRateHz = header.sampleRateHz;
-    info_.clockHz = header.clockHz;
-    info_.deviceName.assign(
-        header.deviceName,
-        ::strnlen(header.deviceName, sizeof(header.deviceName)));
-    info_.totalSamples = header.totalSamples;
     // Device names are user input: the JSON export escapes them, which
     // is exactly what the obs escaping tests pin down.
     obs::MetricsRegistry::instance().setLabel("store.device",
@@ -188,36 +158,18 @@ CaptureReader::openRecovered(const std::string &path,
                              RecoveryReport *report, std::string *error)
 {
     EMPROF_OBS_STAGE("store.recover");
-    close();
-    if (!file_.open(path, common::io::CheckedFile::Mode::Read)) {
-        const std::string why = file_.error().describe();
+    std::string why;
+    if (!openHeader(path, why)) {
         close();
-        return fail(error, "cannot open " + path + ": " + why);
+        return fail(error, why + "; nothing recoverable");
     }
 
-    const auto bail = [&](const std::string &message) {
-        close();
-        return fail(error, message + "; nothing recoverable");
-    };
-
-    if (!file_.size(fileSize_, "stat"))
-        return bail("cannot stat " + path);
-
-    // The 72-byte header is written first, before any chunk, and never
-    // moves; without it there is no sample rate, codec or quantiser to
-    // decode chunks with.
-    if (fileSize_ < sizeof(FileHeader))
-        return bail("file shorter than the EMCAP header");
-    FileHeader header{};
-    std::string header_error;
-    if (!loadHeader(header, &header_error))
-        return bail(header_error);
-
     // Walk the chunk stream from the front.  A chunk counts as
-    // salvaged only if its full header + payload are present and the
-    // CRC over both checks out; the first byte that fails ends the
-    // salvageable prefix (it is a torn write, corruption, or the start
-    // of a footer index).
+    // salvaged only if its full header + payload are present and pass
+    // the verifier's header bounds and CRC; the first that fails ends
+    // the salvageable prefix (it is a torn write, corruption, or the
+    // start of a footer index).
+    const char *const kScanEnd = " (footer, torn write, or corruption)";
     std::string stop_reason;
     std::vector<uint8_t> payload;
     uint64_t offset = sizeof(FileHeader);
@@ -228,62 +180,35 @@ CaptureReader::openRecovered(const std::string &path,
             break;
         }
         ChunkHeader chunk{};
-        std::string io_error;
         if (!preadAt(offset, &chunk, sizeof(chunk), "chunk header",
-                     &io_error)) {
-            stop_reason = io_error;
+                     &stop_reason))
+            break;
+        const uint64_t i = index_.size();
+        if (!checkChunkHeader(i, chunk, info_.codec, &stop_reason)) {
+            stop_reason += chunk.sampleCount == 0 ? " (footer or torn write)"
+                                                  : kScanEnd;
             break;
         }
-        if (chunk.sampleCount == 0) {
-            stop_reason = "empty chunk (footer or torn write)";
-            break;
-        }
-        if (chunk.payloadBytes >
-            fileSize_ - offset - sizeof(ChunkHeader)) {
+        if (chunk.payloadBytes > fileSize_ - offset - sizeof(ChunkHeader)) {
             stop_reason = "truncated mid chunk payload";
-            break;
-        }
-        if (chunk.sampleCount >
-            maxChunkSamples(chunk.payloadBytes,
-                            static_cast<ChunkEncoding>(chunk.encoding),
-                            static_cast<SampleCodec>(header.codec))) {
-            stop_reason = std::string("chunk header ") + kTooManySamples;
             break;
         }
         payload.resize(chunk.payloadBytes);
         if (!preadAt(offset + sizeof(ChunkHeader), payload.data(),
-                     payload.size(), "chunk payload", &io_error)) {
-            stop_reason = io_error;
+                     payload.size(), "chunk payload", &stop_reason))
             break;
-        }
-        uint32_t crc = crc32c(0, &chunk, offsetof(ChunkHeader, crc));
-        crc = crc32c(crc, payload.data(), payload.size());
-        if (crc != chunk.crc) {
+        if (!checkChunkCrc(i, chunk, payload.data(), payload.size(),
+                           &stop_reason)) {
             countCrcFailure();
-            stop_reason = "chunk CRC mismatch (footer, torn write, or "
-                          "corruption)";
+            stop_reason += kScanEnd;
             break;
         }
-
-        ChunkIndexEntry entry{};
-        entry.fileOffset = offset;
-        entry.firstSample = samples;
-        entry.sampleCount = chunk.sampleCount;
-        entry.storedBytes = static_cast<uint32_t>(sizeof(ChunkHeader)) +
-                            chunk.payloadBytes;
-        index_.push_back(entry);
+        index_.push_back({offset, samples, chunk.sampleCount,
+                          static_cast<uint32_t>(sizeof(ChunkHeader) +
+                                                chunk.payloadBytes)});
         samples += chunk.sampleCount;
-        offset += entry.storedBytes;
+        offset += index_.back().storedBytes;
     }
-
-    info_.version = header.version;
-    info_.codec = static_cast<SampleCodec>(header.codec);
-    info_.quantBits = header.quantBits;
-    info_.sampleRateHz = header.sampleRateHz;
-    info_.clockHz = header.clockHz;
-    info_.deviceName.assign(
-        header.deviceName,
-        ::strnlen(header.deviceName, sizeof(header.deviceName)));
     // The header's own count is untrustworthy here (a crashed capture
     // still carries the provisional 0); the scan is the truth.
     info_.totalSamples = samples;
@@ -328,59 +253,45 @@ CaptureReader::chunkContaining(uint64_t sample) const
 }
 
 bool
-CaptureReader::loadChunk(std::size_t i, std::vector<uint8_t> &stored,
-                         std::string *error) const
+CaptureReader::decodeStored(std::size_t i, std::vector<uint8_t> &stored,
+                            dsp::Sample *out,
+                            std::vector<dsp::Sample> *sized,
+                            std::string *error) const
 {
     if (!isOpen() || i >= index_.size())
         return fail(error, "chunk index out of range");
     const ChunkIndexEntry &entry = index_[i];
 
+    // open() bounded the entry by the file, so the stored chunk is read
+    // at once; nothing is sized from its header before the verifier
+    // has passed it.
     stored.resize(entry.storedBytes);
     if (!preadAt(entry.fileOffset, stored.data(), stored.size(),
                  "chunk body", error))
         return false;
-
     ChunkHeader header{};
     std::memcpy(&header, stored.data(), sizeof(header));
     const uint8_t *payload = stored.data() + sizeof(header);
     const std::size_t payload_bytes = stored.size() - sizeof(header);
 
+    if (!checkChunkHeader(i, header, info_.codec, error))
+        return false;
+    if (!checkChunkCrc(i, header, payload, payload_bytes, error)) {
+        countCrcFailure();
+        return false;
+    }
+    // A CRC-valid header that disagrees with the CRC-valid index is a
+    // forgery; the decode below trusts both.
     if (header.sampleCount != entry.sampleCount ||
         header.payloadBytes != payload_bytes)
         return fail(error, "chunk " + std::to_string(i) +
                                " header disagrees with footer index");
-    uint32_t crc = crc32c(0, &header, offsetof(ChunkHeader, crc));
-    crc = crc32c(crc, payload, payload_bytes);
-    if (crc != header.crc) {
-        countCrcFailure();
-        return fail(error,
-                    "chunk " + std::to_string(i) + " CRC mismatch");
+    if (sized != nullptr) {
+        sized->resize(entry.sampleCount);
+        out = sized->data();
     }
-
-    if (header.sampleCount >
-        maxChunkSamples(payload_bytes,
-                        static_cast<ChunkEncoding>(header.encoding),
-                        info_.codec))
-        return fail(error, "chunk " + std::to_string(i) + " " +
-                               kTooManySamples);
-    return true;
-}
-
-bool
-CaptureReader::decodeLoaded(std::size_t i,
-                            const std::vector<uint8_t> &stored,
-                            dsp::Sample *out, std::string *error) const
-{
-    const ChunkIndexEntry &entry = index_[i];
-    ChunkHeader header{};
-    std::memcpy(&header, stored.data(), sizeof(header));
-    if (!store::decodeChunk(stored.data() + sizeof(header),
-                            stored.size() - sizeof(header),
-                            static_cast<ChunkEncoding>(header.encoding),
-                            info_.codec, header.scale, entry.sampleCount,
-                            out))
-        return fail(error, "chunk " + std::to_string(i) +
-                               " payload malformed");
+    if (!decodeVerifiedChunk(i, header, payload, info_.codec, out, error))
+        return false;
     if (obs::MetricsRegistry::enabled()) {
         auto &registry = obs::MetricsRegistry::instance();
         static const obs::Counter chunks =
@@ -402,8 +313,7 @@ CaptureReader::decodeChunkInto(std::size_t i, dsp::Sample *out,
                                std::string *error) const
 {
     EMPROF_OBS_STAGE("store.decode_chunk");
-    return loadChunk(i, stored, error) &&
-           decodeLoaded(i, stored, out, error);
+    return decodeStored(i, stored, out, nullptr, error);
 }
 
 bool
@@ -412,10 +322,7 @@ CaptureReader::decodeChunk(std::size_t i, std::vector<dsp::Sample> &out,
 {
     EMPROF_OBS_STAGE("store.decode_chunk");
     std::vector<uint8_t> stored;
-    if (!loadChunk(i, stored, error))
-        return false;
-    out.resize(index_[i].sampleCount);
-    return decodeLoaded(i, stored, out.data(), error);
+    return decodeStored(i, stored, nullptr, &out, error);
 }
 
 bool
@@ -429,25 +336,17 @@ CaptureReader::readRange(uint64_t first, uint64_t count,
         return fail(error, "sample range exceeds capture");
 
     out.resize(static_cast<std::size_t>(count));
-    if (count == 0)
-        return true;
-
-    std::vector<dsp::Sample> scratch;
-    uint64_t cursor = first;
-    std::size_t ci = chunkContaining(first);
-    while (cursor < first + count) {
-        const ChunkIndexEntry &entry = index_[ci];
-        if (!decodeChunk(ci, scratch, error))
+    std::vector<dsp::Sample> chunk;
+    for (uint64_t at = first; at < first + count;) {
+        const std::size_t ci = chunkContaining(at);
+        if (!decodeChunk(ci, chunk, error))
             return false;
-        const uint64_t lo = cursor - entry.firstSample;
-        const uint64_t hi = std::min<uint64_t>(
-            entry.sampleCount, first + count - entry.firstSample);
-        std::copy(scratch.begin() + static_cast<std::ptrdiff_t>(lo),
-                  scratch.begin() + static_cast<std::ptrdiff_t>(hi),
-                  out.begin() +
-                      static_cast<std::ptrdiff_t>(cursor - first));
-        cursor = entry.firstSample + hi;
-        ++ci;
+        const uint64_t lo = at - index_[ci].firstSample;
+        const uint64_t n = std::min<uint64_t>(chunk.size() - lo,
+                                              first + count - at);
+        std::copy_n(chunk.begin() + static_cast<std::ptrdiff_t>(lo), n,
+                    out.begin() + static_cast<std::ptrdiff_t>(at - first));
+        at += n;
     }
     return true;
 }
@@ -482,15 +381,11 @@ CaptureReader::verify() const
 bool
 CaptureReader::isEmcap(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr)
-        return false;
-    char magic[4] = {};
-    const bool ok =
-        std::fread(magic, 1, sizeof(magic), f) == sizeof(magic) &&
-        std::memcmp(magic, kEmcapMagic, sizeof(magic)) == 0;
-    std::fclose(f);
-    return ok;
+    common::io::CheckedFile file;
+    char magic[sizeof(kEmcapMagic)] = {};
+    return file.open(path, common::io::CheckedFile::Mode::Read) &&
+           file.preadAt(0, magic, sizeof(magic), "magic", nullptr) &&
+           std::memcmp(magic, kEmcapMagic, sizeof(magic)) == 0;
 }
 
 } // namespace emprof::store

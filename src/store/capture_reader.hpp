@@ -7,7 +7,8 @@
  * opening a multi-GB capture is O(chunks), not O(samples).  Chunks are
  * then decoded on demand:
  *
- *  - decodeChunkInto() checks the chunk's CRC and decodes it straight
+ *  - decodeChunkInto() verifies the chunk (store/emcap_verify.hpp,
+ *    the rules every EMCAP reader shares) and decodes it straight
  *    into caller memory, through a stored-bytes buffer the caller
  *    reuses — it is `const` and uses positioned reads (pread), so any
  *    number of threads may decode different chunks of one reader
@@ -37,21 +38,9 @@
 
 #include "common/io/checked_file.hpp"
 #include "dsp/types.hpp"
-#include "store/emcap_format.hpp"
+#include "store/emcap_verify.hpp"
 
 namespace emprof::store {
-
-/** Decoded file-header metadata. */
-struct CaptureInfo
-{
-    uint32_t version = 0;
-    SampleCodec codec = SampleCodec::F32;
-    unsigned quantBits = 0;
-    double sampleRateHz = 0.0;
-    double clockHz = 0.0;
-    std::string deviceName;
-    uint64_t totalSamples = 0;
-};
 
 /** What openRecovered() managed to salvage. */
 struct RecoveryReport
@@ -74,7 +63,6 @@ class CaptureReader
 {
   public:
     CaptureReader() = default;
-    ~CaptureReader();
 
     CaptureReader(const CaptureReader &) = delete;
     CaptureReader &operator=(const CaptureReader &) = delete;
@@ -122,12 +110,12 @@ class CaptureReader
     std::size_t chunkContaining(uint64_t sample) const;
 
     /**
-     * CRC-check and decode chunk @p i into @p out, which has room for
+     * Verify and decode chunk @p i into @p out, which has room for
      * chunk(i).sampleCount samples.  The stored bytes are read into
      * @p stored, a buffer the caller owns and reuses across chunks.
-     * Checks, in order: index/header agreement, CRC, the sample-count
-     * bound (maxChunkSamples), then the decode itself.  Thread-safe
-     * (one @p stored per thread).
+     * Checks, in order: the verifier's header bounds and CRC
+     * (store/emcap_verify.hpp), index/header agreement, then the
+     * decode itself.  Thread-safe (one @p stored per thread).
      */
     bool decodeChunkInto(std::size_t i, dsp::Sample *out,
                          std::vector<uint8_t> &stored,
@@ -170,19 +158,15 @@ class CaptureReader
     static bool isEmcap(const std::string &path);
 
   private:
-    bool fail(std::string *error, const std::string &message) const;
+    /** Open @p path and pass its file header through the verifier,
+     *  filling info_; @p why says what failed. */
+    bool openHeader(const std::string &path, std::string &why);
 
-    /** Read + fully validate the 72-byte file header. */
-    bool loadHeader(FileHeader &header, std::string *error);
-
-    /** decodeChunkInto()'s checks: read chunk @p i into @p stored and
-     *  vet it up to (not including) the decode. */
-    bool loadChunk(std::size_t i, std::vector<uint8_t> &stored,
-                   std::string *error) const;
-
-    /** decodeChunkInto()'s decode of a loadChunk()ed chunk. */
-    bool decodeLoaded(std::size_t i, const std::vector<uint8_t> &stored,
-                      dsp::Sample *out, std::string *error) const;
+    /** decodeChunkInto() into @p out, or into @p sized once it has
+     *  been resized after every check before the decode. */
+    bool decodeStored(std::size_t i, std::vector<uint8_t> &stored,
+                      dsp::Sample *out, std::vector<dsp::Sample> *sized,
+                      std::string *error) const;
 
     /** Positioned read at @p offset; thread-safe. */
     bool preadAt(uint64_t offset, void *buf, std::size_t len,

@@ -8,9 +8,7 @@
 #include <cstdio>
 #include <string>
 
-#ifndef _WIN32
 #include <unistd.h>
-#endif
 
 #include "dsp/signal_io.hpp"
 
@@ -90,14 +88,10 @@ TEST(SignalIo, TruncatedPayloadFails)
     // Chop the file short.
     std::FILE *f = std::fopen(path.c_str(), "rb+");
     ASSERT_NE(f, nullptr);
-#ifdef _WIN32
-    std::fclose(f);
-#else
     ASSERT_EQ(ftruncate(fileno(f), 32 + 10), 0);
     std::fclose(f);
     TimeSeries out;
     EXPECT_FALSE(loadSignal(path, out));
-#endif
     std::remove(path.c_str());
 }
 

@@ -17,6 +17,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -83,6 +84,20 @@ makeSignal(std::size_t n, uint32_t seed)
         x[i] = 0.75f;
     for (std::size_t i = 2 * n / 3; i < std::min(2 * n / 3 + 7, n); ++i)
         x[i] = 0.0f;
+    return x;
+}
+
+/**
+ * makeSignal scaled into the float denormal range.  Denormals are
+ * finite, so the kernel's envelope scan must still match the
+ * streaming reference bit for bit.
+ */
+std::vector<dsp::Sample>
+makeDenormalSignal(std::size_t n, uint32_t seed)
+{
+    auto x = makeSignal(n, seed);
+    for (auto &v : x)
+        v *= 1000.0f * std::numeric_limits<float>::denorm_min();
     return x;
 }
 
@@ -178,12 +193,29 @@ compareChunk(const std::vector<dsp::Sample> &x, uint64_t begin,
     expectSameResult(ref, simd, config, what);
 }
 
+/**
+ * Whole series of every length 1..40 as one final chunk: warm-up-only
+ * and sub-vector envelope blocks.
+ */
+void
+compareShortSeries(const std::vector<dsp::Sample> &x,
+                   const EmProfConfig &config, const std::string &what)
+{
+    for (std::size_t n = 1; n <= 40; ++n) {
+        const std::vector<dsp::Sample> head(x.begin(),
+                                            x.begin() + n);
+        compareChunk(head, 0, n, true, config,
+                     what + " n=" + std::to_string(n));
+    }
+}
+
 TEST(BatchPipeline, ClassicChunkBitParityAcrossWindows)
 {
     if (!batchKernelAvailable())
         GTEST_SKIP() << "AVX2 batch kernel not active";
 
     const auto x = makeSignal(6000, 0xca97);
+    const auto tiny = makeDenormalSignal(3000, 0xde70);
     for (std::size_t w :
          {std::size_t{2}, std::size_t{3}, std::size_t{5}, std::size_t{7},
           std::size_t{8}, std::size_t{9}, std::size_t{16},
@@ -206,6 +238,11 @@ TEST(BatchPipeline, ClassicChunkBitParityAcrossWindows)
         // ...and a final chunk shorter than one vector.
         compareChunk(x, x.size() - 5, x.size(), true, config,
                      "w=" + std::to_string(w) + " tail");
+        compareShortSeries(x, config, "w=" + std::to_string(w));
+        compareChunk(tiny, 0, tiny.size(), true, config,
+                     "w=" + std::to_string(w) + " denormal whole");
+        compareChunk(tiny, 999, 2501, false, config,
+                     "w=" + std::to_string(w) + " denormal interior");
     }
 }
 
@@ -215,6 +252,7 @@ TEST(BatchPipeline, ResilientChunkBitParity)
         GTEST_SKIP() << "AVX2 batch kernel not active";
 
     const auto x = makeSignal(6000, 0x5eed);
+    const auto tiny = makeDenormalSignal(3000, 0xabcd);
     for (std::size_t w :
          {std::size_t{3}, std::size_t{8}, std::size_t{17},
           std::size_t{64}, std::size_t{129}}) {
@@ -231,6 +269,11 @@ TEST(BatchPipeline, ResilientChunkBitParity)
                          base + " interior");
             compareChunk(x, 3001, 3001 + (w + 1) / 2, false, config,
                          base + " short");
+            compareShortSeries(x, config, base);
+            compareChunk(tiny, 0, tiny.size(), true, config,
+                         base + " denormal whole");
+            compareChunk(tiny, 1000, 2500, false, config,
+                         base + " denormal interior");
             // Small unaligned quality blocks, q < w.
             config.signal.blockSamples = 37;
             compareChunk(x, 0, x.size(), true, config,

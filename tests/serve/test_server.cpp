@@ -27,6 +27,7 @@
 #include "../e2e/golden_common.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
+#include "store/capture_writer.hpp"
 
 using namespace emprof;
 using namespace emprof::serve;
@@ -536,4 +537,44 @@ TEST(Server, StopIsIdempotentAndRestartWorks)
     const PushResult result =
         client.push(bytes.data(), bytes.size(), false, 4096);
     EXPECT_TRUE(result.ok) << result.error;
+}
+
+TEST(Server, SendDataCutsAnUploadOverTheFrameCapIntoFrames)
+{
+    // A raw F32 capture of 1.5 Mi samples is 6 MiB, more than one Data
+    // frame may carry; one sendData() call must still deliver it.
+    dsp::TimeSeries series;
+    series.sampleRateHz = 40e6;
+    series.samples.resize(std::size_t{3} << 19);
+    for (std::size_t i = 0; i < series.samples.size(); ++i)
+        series.samples[i] =
+            (i % 5000 < 40 ? 0.2f : 1.0f) + 0.001f * float(i % 7);
+    store::WriterOptions options;
+    options.compress = false;
+    const std::string path = testing::TempDir() + "emprof_send_data_" +
+                             std::to_string(::getpid()) + ".emcap";
+    ASSERT_TRUE(store::writeCapture(path, series, options));
+    const auto bytes = readFileBytes(path);
+    std::remove(path.c_str());
+    ASSERT_GT(bytes.size(), kMaxFramePayload);
+
+    ServerFixture fixture;
+    std::string error;
+    Client reference;
+    ASSERT_TRUE(reference.connect(fixture.endpoint(), &error)) << error;
+    const PushResult pushed = reference.push(bytes.data(), bytes.size());
+    ASSERT_TRUE(pushed.ok) << pushed.error;
+    ASSERT_FALSE(pushed.report.events.empty());
+
+    Client client;
+    ASSERT_TRUE(client.connect(fixture.endpoint(), &error)) << error;
+    ASSERT_TRUE(client.open(false, &error)) << error;
+    ASSERT_TRUE(client.sendData(bytes.data(), bytes.size(), &error))
+        << error;
+    const PushResult sent = client.finish();
+    ASSERT_TRUE(sent.ok) << sent.error;
+    EXPECT_EQ(sent.report.totalSamples, series.samples.size());
+    EXPECT_EQ(sent.report.reportText, pushed.report.reportText);
+    expectEventsBitExact(pushed.report.events, sent.report.events,
+                         "one sendData call");
 }
