@@ -13,7 +13,6 @@
 
 #include "dsp/fir.hpp"
 #include "dsp/minmax_filter.hpp"
-#include "dsp/moving_stats.hpp"
 #include "dsp/rng.hpp"
 #include "em/capture.hpp"
 #include "profiler/normalizer.hpp"
@@ -33,21 +32,6 @@ noisySignal(std::size_t n)
                                ((rng.below(40) == 0) ? 0.8 : 0.0));
     return v;
 }
-
-void
-BM_MovingMinMax(benchmark::State &state)
-{
-    const auto input = noisySignal(1 << 16);
-    dsp::MovingMinMax mm(static_cast<std::size_t>(state.range(0)));
-    for (auto _ : state) {
-        for (float x : input)
-            mm.push(x);
-        benchmark::DoNotOptimize(mm.min());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(input.size()));
-}
-BENCHMARK(BM_MovingMinMax)->Arg(1024)->Arg(160'000);
 
 template <typename T>
 void

@@ -4,11 +4,9 @@
  * against an in-process emprof serve::Server on a unix socket.
  *
  *   throughput_serve [--devices N] [--rate R] [--samples-per-capture S]
- *                    [--client-threads K] [--server-threads T]
- *                    [--disconnect-rate P] [--json PATH]
- *                    [--chaos] [--hostile-rate P] [--p99-gate X]
- *                    [--fail-on-reject] [--fail-on-lost]
- *                    [--fail-on-silent-loss]
+ *       [--client-threads K] [--server-threads T] [--disconnect-rate P]
+ *       [--chaos] [--hostile-rate P] [--p99-gate X] [--json PATH]
+ *       [--fail-on-reject] [--fail-on-lost] [--fail-on-silent-loss]
  *
  * Open-loop means the arrival schedule is drawn up front (exponential
  * inter-arrival gaps at R sessions/s, fixed seed) and never reacts to
@@ -22,8 +20,8 @@
  * P of sessions (chosen by a fixed-seed draw) have their connection
  * hard-closed once mid-upload and ride the resumable-push reconnect
  * path (DESIGN.md §15).  The pass reports resumed sessions, replayed
- * bytes, LOST sessions (dropped and never completed — the number this
- * PR exists to drive to zero) and its p99 as a ratio of the
+ * bytes, LOST sessions (dropped and never completed — the number the
+ * resume path exists to drive to zero) and its p99 as a ratio of the
  * no-disconnect baseline.  --fail-on-lost turns any lost session into
  * exit 1, which CI uses as the resume gate.
  *
@@ -43,10 +41,10 @@
  *
  * Reported: sessions/s, p50/p99 session latency (scheduled arrival →
  * Report in hand), aggregate analysis throughput in Msamples/s, and
- * the rejected-session count.  Results go to stdout and to
- * machine-readable JSON (default BENCH_serve.json); --fail-on-reject
- * turns any rejected session into exit 1, which CI uses as the
- * serve-bench gate.
+ * the rejected-session count, with the server's own counters.  The
+ * JSON document (harness.hpp's emitter) goes to stdout and to a file
+ * (default BENCH_serve.json); --fail-on-reject turns any rejected
+ * session into exit 1, which CI uses as the serve-bench gate.
  */
 
 #include <algorithm>
@@ -56,6 +54,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -63,7 +63,9 @@
 #include <unistd.h>
 
 #include "dsp/rng.hpp"
+#include "dsp/series_ops.hpp"
 #include "dsp/types.hpp"
+#include "harness.hpp"
 #include "serve/chaos.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
@@ -75,27 +77,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/** Same memory-bound synthetic signal the other throughput rigs use. */
-dsp::TimeSeries
-syntheticCapture(std::size_t total)
-{
-    dsp::TimeSeries s;
-    s.sampleRateHz = 40e6;
-    s.samples.assign(total, 1.0f);
-    dsp::Rng rng(0xca97);
-    for (auto &x : s.samples)
-        x += static_cast<float>(0.02 * (rng.uniform() - 0.5));
-    std::size_t pos = 1000;
-    while (pos + 120 < total) {
-        const std::size_t len =
-            rng.chance(0.01) ? 100 : 8 + rng.below(7);
-        for (std::size_t i = pos; i < pos + len; ++i)
-            s.samples[i] = 0.2f;
-        pos += len + 40 + rng.below(120);
-    }
-    return s;
-}
-
 /** Render the capture once; every device pushes the same bytes. */
 std::vector<uint8_t>
 captureBlob(std::size_t samples, std::string *error)
@@ -106,35 +87,16 @@ captureBlob(std::size_t samples, std::string *error)
     opt.sampleRateHz = 40e6;
     opt.clockHz = 1e9;
     opt.deviceName = "bench";
-    std::vector<uint8_t> blob;
-    if (!store::writeCapture(path, syntheticCapture(samples), opt,
+    if (!store::writeCapture(path, bench::syntheticCapture(samples), opt,
                              nullptr, error))
-        return blob;
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f != nullptr) {
-        char buf[1 << 16];
-        std::size_t got;
-        while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-            blob.insert(blob.end(), buf, buf + got);
-        std::fclose(f);
-    }
+        return {};
+    std::ifstream in(path, std::ios::binary);
+    std::vector<uint8_t> blob((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
     ::unlink(path.c_str());
     if (blob.empty() && error != nullptr)
         *error = "could not read back " + path;
     return blob;
-}
-
-double
-percentile(std::vector<double> sorted, double p)
-{
-    if (sorted.empty())
-        return 0.0;
-    const double rank =
-        p / 100.0 * static_cast<double>(sorted.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
 /** One measured open-loop pass against a fresh server. */
@@ -167,11 +129,10 @@ struct PassSetup
     std::size_t serverThreads = 0;
     const std::vector<double> *arrivalS = nullptr;
     double disconnectRate = 0.0; ///< fraction given one mid-upload drop
-
-    /** Chaos pass: fraction of sessions run hostile against an
-     *  overload-hardened server config (0 = plain pass). */
+    /// Chaos pass: fraction of sessions run hostile against an
+    /// overload-hardened server config (0 = plain pass), and the
+    /// reference report text every well-behaved session must match.
     double hostileRate = 0.0;
-    /** Reference report text for the bit-identity check (chaos). */
     const std::string *referenceReport = nullptr;
 };
 
@@ -384,8 +345,8 @@ runPass(const PassSetup &setup, const char *label, PassResult &out,
     out.hostileResumed = hostile_resumed.load();
     out.hostileSilent = hostile_silent.load();
     out.reportMismatches = mismatches.load();
-    out.p50Ms = percentile(sorted, 50.0);
-    out.p99Ms = percentile(sorted, 99.0);
+    out.p50Ms = dsp::percentileSorted(sorted, 50.0);
+    out.p99Ms = dsp::percentileSorted(sorted, 99.0);
     return true;
 }
 
@@ -400,7 +361,6 @@ main(int argc, char **argv)
     double disconnect_rate = 0.0;
     std::size_t client_threads = 16;
     std::size_t server_threads = 0;
-    std::string json_path = "BENCH_serve.json";
     bool fail_on_reject = false;
     bool fail_on_lost = false;
     bool chaos = false;
@@ -408,55 +368,22 @@ main(int argc, char **argv)
     double p99_gate = 0.0; // 0 = no gate
     bool fail_on_silent_loss = false;
 
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--devices") && i + 1 < argc)
-            devices = static_cast<std::size_t>(std::atoll(argv[++i]));
-        else if (!std::strcmp(argv[i], "--samples-per-capture") &&
-                 i + 1 < argc)
-            samples = static_cast<std::size_t>(std::atoll(argv[++i]));
-        else if (!std::strcmp(argv[i], "--rate") && i + 1 < argc)
-            rate = std::atof(argv[++i]);
-        else if (!std::strcmp(argv[i], "--disconnect-rate") &&
-                 i + 1 < argc)
-            disconnect_rate = std::atof(argv[++i]);
-        else if (!std::strcmp(argv[i], "--client-threads") &&
-                 i + 1 < argc)
-            client_threads =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
-        else if (!std::strcmp(argv[i], "--server-threads") &&
-                 i + 1 < argc)
-            server_threads =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
-        else if (!std::strcmp(argv[i], "--json") && i + 1 < argc)
-            json_path = argv[++i];
-        else if (!std::strcmp(argv[i], "--fail-on-reject"))
-            fail_on_reject = true;
-        else if (!std::strcmp(argv[i], "--fail-on-lost"))
-            fail_on_lost = true;
-        else if (!std::strcmp(argv[i], "--chaos"))
-            chaos = true;
-        else if (!std::strcmp(argv[i], "--hostile-rate") && i + 1 < argc)
-            hostile_rate = std::atof(argv[++i]);
-        else if (!std::strcmp(argv[i], "--p99-gate") && i + 1 < argc)
-            p99_gate = std::atof(argv[++i]);
-        else if (!std::strcmp(argv[i], "--fail-on-silent-loss"))
-            fail_on_silent_loss = true;
-        else {
-            std::fprintf(
-                stderr,
-                "usage: %s [--devices N] [--rate R]\n"
-                "          [--samples-per-capture S] "
-                "[--client-threads K]\n"
-                "          [--server-threads T] "
-                "[--disconnect-rate P]\n"
-                "          [--json PATH] [--chaos] "
-                "[--hostile-rate P] [--p99-gate X]\n"
-                "          [--fail-on-reject] [--fail-on-lost] "
-                "[--fail-on-silent-loss]\n",
-                argv[0]);
-            return 2;
-        }
-    }
+    std::string json = "BENCH_serve.json";
+    if (!bench::parseArgs(argc, argv,
+                          {{"--devices", devices},
+                           {"--rate", rate},
+                           {"--samples-per-capture", samples},
+                           {"--client-threads", client_threads},
+                           {"--server-threads", server_threads},
+                           {"--disconnect-rate", disconnect_rate},
+                           {"--chaos", chaos},
+                           {"--hostile-rate", hostile_rate},
+                           {"--p99-gate", p99_gate},
+                           {"--fail-on-reject", fail_on_reject},
+                           {"--fail-on-lost", fail_on_lost},
+                           {"--fail-on-silent-loss", fail_on_silent_loss},
+                           {"--json", json}}))
+        return 2;
     if (devices == 0 || rate <= 0.0 || client_threads == 0 ||
         disconnect_rate < 0.0 || disconnect_rate > 1.0 ||
         hostile_rate < 0.0 || hostile_rate > 1.0) {
@@ -530,12 +457,16 @@ main(int argc, char **argv)
     setup.serverThreads = server_threads;
     setup.arrivalS = &arrival_s;
 
+    const auto pass = [&](const char *label, PassResult &out) {
+        const bool ran = runPass(setup, label, out, &error);
+        if (!ran)
+            std::fprintf(stderr, "%s pass failed: %s\n", label,
+                         error.c_str());
+        return ran;
+    };
     PassResult baseline;
-    if (!runPass(setup, "base", baseline, &error)) {
-        std::fprintf(stderr, "baseline pass failed: %s\n",
-                     error.c_str());
+    if (!pass("baseline", baseline))
         return 1;
-    }
 
     PassResult drops;
     const bool ran_drops = disconnect_rate > 0.0;
@@ -544,11 +475,8 @@ main(int argc, char **argv)
                     "once mid-upload...\n",
                     disconnect_rate * 100.0);
         setup.disconnectRate = disconnect_rate;
-        if (!runPass(setup, "drop", drops, &error)) {
-            std::fprintf(stderr, "disconnect pass failed: %s\n",
-                         error.c_str());
+        if (!pass("disconnect", drops))
             return 1;
-        }
     }
 
     PassResult havoc;
@@ -570,11 +498,8 @@ main(int argc, char **argv)
             client_threads +
             static_cast<std::size_t>(
                 std::ceil(static_cast<double>(devices) * hostile_rate));
-        if (!runPass(setup, "chaos", havoc, &error)) {
-            std::fprintf(stderr, "chaos pass failed: %s\n",
-                         error.c_str());
+        if (!pass("chaos", havoc))
             return 1;
-        }
     }
 
     const double sessions_per_s =
@@ -590,150 +515,70 @@ main(int argc, char **argv)
         chaos && baseline.p99Ms > 0.0 ? havoc.p99Ms / baseline.p99Ms
                                       : 0.0;
 
-    std::printf("\n== served ingest ==\n");
-    std::printf("sessions        %zu ok, %zu rejected (server: %llu "
-                "completed, %llu rejected)\n",
-                baseline.completed, baseline.rejected,
-                static_cast<unsigned long long>(
-                    baseline.stats.sessionsCompleted),
-                static_cast<unsigned long long>(
-                    baseline.stats.sessionsRejected));
-    std::printf("wall            %.2f s\n", baseline.wallS);
-    std::printf("throughput      %.1f sessions/s, %.1f Msamples/s\n",
-                sessions_per_s, msamples_per_s);
-    std::printf("latency         p50 %.2f ms, p99 %.2f ms\n",
-                baseline.p50Ms, baseline.p99Ms);
-    if (ran_drops) {
-        std::printf("\n== disconnect pass (%.0f%% dropped once) ==\n",
-                    disconnect_rate * 100.0);
-        std::printf("sessions        %zu ok, %zu dropped, %zu LOST\n",
-                    drops.completed, drops.dropped, drops.lost);
-        std::printf("resume          %llu resumed session(s), %llu "
-                    "bytes replayed (server: %llu parked, %llu "
-                    "resumed)\n",
-                    static_cast<unsigned long long>(drops.resumes),
-                    static_cast<unsigned long long>(
-                        drops.replayedBytes),
-                    static_cast<unsigned long long>(
-                        drops.stats.sessionsParked),
-                    static_cast<unsigned long long>(
-                        drops.stats.sessionsResumed));
-        std::printf("latency         p50 %.2f ms, p99 %.2f ms "
-                    "(%.2fx baseline p99)\n",
-                    drops.p50Ms, drops.p99Ms, p99_ratio);
-    }
-    if (chaos) {
-        std::printf("\n== chaos pass (%.0f%% hostile) ==\n",
-                    hostile_rate * 100.0);
-        std::printf("sessions        %zu well-behaved ok, %zu hostile\n",
-                    havoc.completed, havoc.hostile);
-        std::printf("hostile fate    %zu typed error, %zu resumed to "
-                    "completion, %zu SILENT\n",
-                    havoc.hostileTyped, havoc.hostileResumed,
-                    havoc.hostileSilent);
-        std::printf("report check    %zu mismatch(es) vs the unloaded "
-                    "reference\n",
-                    havoc.reportMismatches);
-        std::printf("server          %llu shed, %llu timed out, %llu "
-                    "RetryAfter, %llu aborted\n",
-                    static_cast<unsigned long long>(
-                        havoc.stats.sessionsShed),
-                    static_cast<unsigned long long>(
-                        havoc.stats.sessionsTimedOut),
-                    static_cast<unsigned long long>(
-                        havoc.stats.retryAfterSent),
-                    static_cast<unsigned long long>(
-                        havoc.stats.sessionsAborted));
-        std::printf("latency         p50 %.2f ms, p99 %.2f ms "
-                    "(%.2fx baseline p99, well-behaved only)\n",
-                    havoc.p50Ms, havoc.p99Ms, chaos_p99_ratio);
-    }
+    bench::Json doc = bench::document("throughput_serve");
+    doc.add("devices", devices)
+        .add("samples_per_capture", samples)
+        .add("offered_rate_per_s", rate)
+        .add("completed", baseline.completed)
+        .add("rejected", baseline.rejected)
+        .add("server_sessions_completed", baseline.stats.sessionsCompleted)
+        .add("server_sessions_rejected", baseline.stats.sessionsRejected)
+        .add("wall_s", baseline.wallS)
+        .add("sessions_per_s", sessions_per_s)
+        .add("msamples_per_s", msamples_per_s)
+        .add("latency_p50_ms", baseline.p50Ms)
+        .add("latency_p99_ms", baseline.p99Ms)
+        .add("disconnect_rate", disconnect_rate)
+        .add("dropped_sessions", drops.dropped)
+        .add("lost_sessions", drops.lost)
+        .add("resumed_sessions", drops.resumes)
+        .add("replayed_bytes", drops.replayedBytes)
+        .add("server_sessions_parked", drops.stats.sessionsParked)
+        .add("server_sessions_resumed", drops.stats.sessionsResumed)
+        .add("disconnect_latency_p50_ms", drops.p50Ms)
+        .add("disconnect_latency_p99_ms", drops.p99Ms)
+        .add("disconnect_p99_over_baseline", p99_ratio)
+        .add("chaos_hostile_rate", chaos ? hostile_rate : 0.0)
+        .add("chaos_hostile_sessions", havoc.hostile)
+        .add("chaos_typed_errors", havoc.hostileTyped)
+        .add("chaos_resumed_to_completion", havoc.hostileResumed)
+        .add("chaos_silent_losses", havoc.hostileSilent)
+        .add("chaos_report_mismatches", havoc.reportMismatches)
+        .add("chaos_server_shed", havoc.stats.sessionsShed)
+        .add("chaos_server_timed_out", havoc.stats.sessionsTimedOut)
+        .add("chaos_server_retry_after", havoc.stats.retryAfterSent)
+        .add("chaos_server_aborted", havoc.stats.sessionsAborted)
+        .add("chaos_latency_p50_ms", havoc.p50Ms)
+        .add("chaos_latency_p99_ms", havoc.p99Ms)
+        .add("chaos_p99_over_baseline", chaos_p99_ratio);
+    std::fputs(doc.text(true).c_str(), stdout);
+    if (!bench::writeJson(json, doc))
+        return 1;
 
-    std::FILE *json = std::fopen(json_path.c_str(), "w");
-    if (json != nullptr) {
-        std::fprintf(
-            json,
-            "{\n"
-            "  \"bench\": \"throughput_serve\",\n"
-            "  \"devices\": %zu,\n"
-            "  \"samples_per_capture\": %zu,\n"
-            "  \"offered_rate_per_s\": %.1f,\n"
-            "  \"completed\": %zu,\n"
-            "  \"rejected\": %zu,\n"
-            "  \"wall_s\": %.3f,\n"
-            "  \"sessions_per_s\": %.2f,\n"
-            "  \"msamples_per_s\": %.2f,\n"
-            "  \"latency_p50_ms\": %.3f,\n"
-            "  \"latency_p99_ms\": %.3f,\n"
-            "  \"disconnect_rate\": %.3f,\n"
-            "  \"dropped_sessions\": %zu,\n"
-            "  \"lost_sessions\": %zu,\n"
-            "  \"resumed_sessions\": %llu,\n"
-            "  \"replayed_bytes\": %llu,\n"
-            "  \"disconnect_latency_p50_ms\": %.3f,\n"
-            "  \"disconnect_latency_p99_ms\": %.3f,\n"
-            "  \"disconnect_p99_over_baseline\": %.3f,\n"
-            "  \"chaos_hostile_rate\": %.3f,\n"
-            "  \"chaos_hostile_sessions\": %zu,\n"
-            "  \"chaos_typed_errors\": %zu,\n"
-            "  \"chaos_resumed_to_completion\": %zu,\n"
-            "  \"chaos_silent_losses\": %zu,\n"
-            "  \"chaos_report_mismatches\": %zu,\n"
-            "  \"chaos_latency_p50_ms\": %.3f,\n"
-            "  \"chaos_latency_p99_ms\": %.3f,\n"
-            "  \"chaos_p99_over_baseline\": %.3f\n"
-            "}\n",
-            devices, samples, rate, baseline.completed,
-            baseline.rejected, baseline.wallS, sessions_per_s,
-            msamples_per_s, baseline.p50Ms, baseline.p99Ms,
-            disconnect_rate, drops.dropped, drops.lost,
-            static_cast<unsigned long long>(drops.resumes),
-            static_cast<unsigned long long>(drops.replayedBytes),
-            drops.p50Ms, drops.p99Ms, p99_ratio,
-            chaos ? hostile_rate : 0.0, havoc.hostile,
-            havoc.hostileTyped, havoc.hostileResumed,
-            havoc.hostileSilent, havoc.reportMismatches, havoc.p50Ms,
-            havoc.p99Ms, chaos_p99_ratio);
-        std::fclose(json);
-        std::printf("wrote %s\n", json_path.c_str());
-    }
-    else {
-        std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-        return 1;
-    }
-
-    if (fail_on_reject && baseline.rejected > 0) {
-        std::fprintf(stderr,
-                     "FAIL: %zu session(s) rejected under open-loop "
-                     "load\n",
-                     baseline.rejected);
-        return 1;
-    }
-    if (fail_on_lost && ran_drops && drops.lost > 0) {
-        std::fprintf(stderr,
-                     "FAIL: %zu dropped session(s) never completed "
-                     "(resume path lost them)\n",
-                     drops.lost);
-        return 1;
-    }
-    if (fail_on_silent_loss && chaos &&
-        (havoc.hostileSilent > 0 || havoc.reportMismatches > 0)) {
-        std::fprintf(stderr,
-                     "FAIL: chaos pass saw %zu silent loss(es) and "
-                     "%zu report mismatch(es); every hostile session "
-                     "must get a typed error or complete via resume, "
-                     "and every well-behaved report must match the "
-                     "unloaded reference bit-for-bit\n",
-                     havoc.hostileSilent, havoc.reportMismatches);
-        return 1;
-    }
-    if (p99_gate > 0.0 && chaos && chaos_p99_ratio > p99_gate) {
-        std::fprintf(stderr,
-                     "FAIL: chaos p99 is %.2fx baseline (gate %.2fx); "
-                     "hostile neighbours are bleeding into the "
-                     "well-behaved tail\n",
-                     chaos_p99_ratio, p99_gate);
-        return 1;
-    }
-    return 0;
+    // The gates; each failure names what it saw.
+    bool pass_gates = true;
+    const auto gate = [&](bool failed, const std::string &why) {
+        if (failed)
+            std::fprintf(stderr, "FAIL: %s\n", why.c_str());
+        pass_gates = pass_gates && !failed;
+    };
+    gate(fail_on_reject && baseline.rejected > 0,
+         std::to_string(baseline.rejected) +
+             " session(s) rejected under open-loop load");
+    gate(fail_on_lost && drops.lost > 0,
+         std::to_string(drops.lost) + " dropped session(s) never "
+                                      "completed (resume path lost them)");
+    gate(fail_on_silent_loss &&
+             (havoc.hostileSilent > 0 || havoc.reportMismatches > 0),
+         "chaos pass saw " + std::to_string(havoc.hostileSilent) +
+             " silent loss(es) and " +
+             std::to_string(havoc.reportMismatches) +
+             " report mismatch(es); every hostile session must get a "
+             "typed error or complete via resume, and every "
+             "well-behaved report must match the unloaded reference");
+    gate(p99_gate > 0.0 && chaos && chaos_p99_ratio > p99_gate,
+         "chaos p99 is " + std::to_string(chaos_p99_ratio) +
+             "x baseline (gate " + std::to_string(p99_gate) +
+             "x); hostile neighbours are bleeding into the tail");
+    return pass_gates ? 0 : 1;
 }

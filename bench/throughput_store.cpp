@@ -1,108 +1,52 @@
 /**
  * @file
  * EMCAP store throughput: encode and decode rates plus compression
- * ratio for each codec mode, on the same synthetic memory-bound
- * capture throughput_pipeline uses.  Results go to stdout and to
- * machine-readable JSON (default BENCH_store.json) so the container's
- * perf trajectory is tracked across PRs alongside the analysis
- * pipeline numbers.
+ * ratio for each codec mode, on harness.hpp's synthetic capture.
+ * Results go to stdout and to machine-readable JSON (default
+ * BENCH_store.json).
  *
- *   throughput_store [--samples N] [--json PATH]
+ *   throughput_store [--samples N] [--runs N] [--json PATH]
  *
- * Rates are reported in MB/s of *raw f32 signal* moved through the
- * codec (i.e. the number an operator cares about: how fast can a
- * 40 MHz * 4 B/s capture stream be packed and unpacked), and each mode
- * verifies its round-trip before publishing a number.
+ * Rates are MB/s of *raw f32 signal* moved through the codec (how fast
+ * a 40 MHz * 4 B/s capture stream can be packed and unpacked), from the
+ * median of N timed runs after one untimed run; the JSON keeps each
+ * direction's median and quartiles.  Each mode verifies its round-trip
+ * before publishing a number.
  */
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "dsp/rng.hpp"
-#include "dsp/types.hpp"
+#include "harness.hpp"
 #include "store/capture_reader.hpp"
 #include "store/capture_writer.hpp"
 
 using namespace emprof;
 
-namespace {
-
-dsp::TimeSeries
-syntheticCapture(std::size_t total)
-{
-    dsp::TimeSeries s;
-    s.sampleRateHz = 40e6;
-    s.samples.assign(total, 1.0f);
-    dsp::Rng rng(0xca97);
-    for (auto &x : s.samples)
-        x += static_cast<float>(0.02 * (rng.uniform() - 0.5));
-    std::size_t pos = 1000;
-    while (pos + 120 < total) {
-        const std::size_t len =
-            rng.chance(0.01) ? 100 : 8 + rng.below(7);
-        for (std::size_t i = pos; i < pos + len; ++i)
-            s.samples[i] = 0.2f;
-        pos += len + 40 + rng.below(120);
-    }
-    return s;
-}
-
-double
-seconds(std::chrono::steady_clock::time_point a,
-        std::chrono::steady_clock::time_point b)
-{
-    return std::chrono::duration<double>(b - a).count();
-}
-
-struct Mode
-{
-    const char *name;
-    store::SampleCodec codec;
-    unsigned quantBits;
-    bool compress;
-};
-
-struct Measurement
-{
-    const char *mode;
-    double encodeMBs;
-    double decodeMBs;
-    double ratio;
-    double maxAbsError;
-    uint64_t fileBytes;
-};
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
     std::size_t total = 8'000'000;
-    std::string json_path = "BENCH_store.json";
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--samples") && i + 1 < argc)
-            total = static_cast<std::size_t>(std::atoll(argv[++i]));
-        else if (!std::strcmp(argv[i], "--json") && i + 1 < argc)
-            json_path = argv[++i];
-        else {
-            std::fprintf(stderr,
-                         "usage: %s [--samples N] [--json PATH]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
-
+    std::size_t runs = 5;
+    std::string json = "BENCH_store.json";
+    if (!bench::parseArgs(argc, argv,
+                          {{"--samples", total}, {"--runs", runs},
+                           {"--json", json}}))
+        return 2;
+    runs = std::max<std::size_t>(runs, 1);
     std::printf("synthesising %zu-sample capture...\n", total);
-    const auto sig = syntheticCapture(total);
-    const double raw_mb =
-        static_cast<double>(total) * sizeof(float) / 1e6;
+    const auto sig = bench::syntheticCapture(total);
+    const double raw_mb = static_cast<double>(total) * sizeof(float) / 1e6;
 
-    const Mode modes[] = {
+    const struct Mode
+    {
+        const char *name;
+        store::SampleCodec codec;
+        unsigned quantBits;
+        bool compress;
+    } modes[] = {
         {"f32_packed", store::SampleCodec::F32, 0, true},
         {"f32_raw", store::SampleCodec::F32, 0, false},
         {"i16_packed", store::SampleCodec::QuantI16, 16, true},
@@ -110,7 +54,7 @@ main(int argc, char **argv)
         {"i12_packed", store::SampleCodec::QuantI16, 12, true},
     };
 
-    std::vector<Measurement> runs;
+    std::vector<bench::Json> rows;
     bool ok = true;
     for (const Mode &mode : modes) {
         store::WriterOptions opt;
@@ -120,37 +64,36 @@ main(int argc, char **argv)
         opt.codec = mode.codec;
         opt.quantBits = mode.quantBits;
         opt.compress = mode.compress;
-
         const std::string path =
             std::string("bench_store_") + mode.name + ".emcap";
 
-        auto t0 = std::chrono::steady_clock::now();
         store::WriterStats stats;
-        if (!store::writeCapture(path, sig, opt, &stats)) {
-            std::fprintf(stderr, "%s: write failed\n", mode.name);
-            return 1;
-        }
-        auto t1 = std::chrono::steady_clock::now();
-        const double enc_sec = seconds(t0, t1);
+        const auto encode = [&] {
+            if (!store::writeCapture(path, sig, opt, &stats)) {
+                std::fprintf(stderr, "%s: write failed\n", mode.name);
+                ok = false;
+            }
+        };
+        const bench::Timing enc = bench::timeRuns(runs, encode, encode);
 
-        store::CaptureReader reader;
-        std::string error;
         dsp::TimeSeries loaded;
-        t0 = std::chrono::steady_clock::now();
-        if (!reader.open(path, &error) ||
-            !reader.readAll(loaded, &error)) {
-            std::fprintf(stderr, "%s: read failed: %s\n", mode.name,
-                         error.c_str());
-            return 1;
-        }
-        t1 = std::chrono::steady_clock::now();
-        const double dec_sec = seconds(t0, t1);
+        const auto decode = [&] {
+            store::CaptureReader reader;
+            std::string error;
+            if (!reader.open(path, &error) ||
+                !reader.readAll(loaded, &error)) {
+                std::fprintf(stderr, "%s: read failed: %s\n", mode.name,
+                             error.c_str());
+                ok = false;
+            }
+        };
+        const bench::Timing dec = bench::timeRuns(runs, decode, decode);
+        std::remove(path.c_str());
 
         // Publish no number for a codec that does not round-trip.
         double max_err = 0.0;
-        if (loaded.samples.size() != sig.samples.size()) {
-            std::fprintf(stderr, "%s: sample count mismatch\n",
-                         mode.name);
+        if (loaded.samples.size() != total) {
+            std::fprintf(stderr, "%s: sample count mismatch\n", mode.name);
             ok = false;
         } else {
             for (std::size_t i = 0; i < total; ++i)
@@ -164,46 +107,32 @@ main(int argc, char **argv)
                 ok = false;
             }
         }
+        if (!ok)
+            return 1;
 
-        runs.push_back({mode.name, raw_mb / enc_sec, raw_mb / dec_sec,
-                        stats.compressionRatio(), max_err,
-                        stats.fileBytes});
         std::printf("%-11s: encode %7.1f MB/s  decode %7.1f MB/s  "
                     "%5.2fx  max-err %.2e\n",
-                    mode.name, runs.back().encodeMBs,
-                    runs.back().decodeMBs, runs.back().ratio, max_err);
-        std::remove(path.c_str());
+                    mode.name, raw_mb / enc.seconds.median,
+                    raw_mb / dec.seconds.median,
+                    stats.compressionRatio(), max_err);
+        rows.push_back(bench::Json()
+                           .add("mode", mode.name)
+                           .add("encode_seconds", enc.seconds)
+                           .add("decode_seconds", dec.seconds)
+                           .add("encode_mb_per_sec",
+                                raw_mb / enc.seconds.median)
+                           .add("decode_mb_per_sec",
+                                raw_mb / dec.seconds.median)
+                           .add("compression_ratio",
+                                stats.compressionRatio())
+                           .add("max_abs_error", max_err)
+                           .add("file_bytes", stats.fileBytes));
     }
 
-    std::FILE *f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-        return 1;
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"throughput_store\",\n"
-                 "  \"samples\": %zu,\n"
-                 "  \"raw_mb\": %.1f,\n"
-                 "  \"ok\": %s,\n"
-                 "  \"runs\": [\n",
-                 total, raw_mb, ok ? "true" : "false");
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        const auto &r = runs[i];
-        std::fprintf(f,
-                     "    {\"mode\": \"%s\", "
-                     "\"encode_mb_per_sec\": %.1f, "
-                     "\"decode_mb_per_sec\": %.1f, "
-                     "\"compression_ratio\": %.3f, "
-                     "\"max_abs_error\": %.3e, "
-                     "\"file_bytes\": %llu}%s\n",
-                     r.mode, r.encodeMBs, r.decodeMBs, r.ratio,
-                     r.maxAbsError,
-                     static_cast<unsigned long long>(r.fileBytes),
-                     i + 1 == runs.size() ? "" : ",");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-    return ok ? 0 : 1;
+    bench::Json doc = bench::document("throughput_store");
+    doc.add("samples", total)
+        .add("raw_mb", raw_mb)
+        .add("timed_runs_per_mode", runs)
+        .add("runs", rows);
+    return bench::writeJson(json, doc) ? 0 : 1;
 }

@@ -75,14 +75,6 @@ class ThreadPool
     /** Number of worker threads. */
     std::size_t size() const { return workers_.size(); }
 
-    /** Tasks queued but not yet claimed by a worker (a load signal:
-     *  the serve-side LoadGovernor samples it each poll tick). */
-    std::size_t queueDepth() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return queue_.size();
-    }
-
     /** std::thread::hardware_concurrency(), floored at 1. */
     static std::size_t hardwareThreads();
 

@@ -2,8 +2,8 @@
  * @file
  * Sliding-window min/max via the van Herk–Gil–Werman (VHGW) algorithm.
  *
- * Like dsp::MovingMinMax this tracks the extrema of the last `window`
- * samples, but instead of monotonic wedges it uses the VHGW block
+ * Like a monotonic-wedge moving min/max this tracks the extrema of the
+ * last `window` samples, but instead of wedges it uses the VHGW block
  * decomposition: the stream is cut into blocks of `window` samples, a
  * suffix-extrema table is built once per completed block (O(window)
  * every `window` samples), and each output is the combination of that
@@ -12,8 +12,8 @@
  * ~6 comparisons per push and no data-dependent pop loops — the branch
  * predictor sees the same short path for every sample, which is what
  * the 160 Msamples/s SDR budget wants.  Because min/max are pure
- * selections (no arithmetic), the outputs are bit-identical to
- * MovingMinMax on the same input.
+ * selections (no arithmetic), the outputs are bit-identical to the
+ * wedge on the same input (tests/dsp keeps the wedge as the oracle).
  *
  * The filter is templated on the sample type so the hot path can run
  * entirely in float (no double promotion) when fed SDR magnitude
@@ -32,10 +32,9 @@ namespace emprof::dsp {
 /**
  * Streaming sliding-window minimum and maximum (VHGW decomposition).
  *
- * Drop-in backend for MovingMinMax: same window semantics (the window
- * covers the last min(count, window) samples, so warm-up outputs match
- * a partially filled window), same accessor names, same zero-window
- * clamp to 1.
+ * Window semantics: the window covers the last min(count, window)
+ * samples, so warm-up outputs match a partially filled window; a zero
+ * window is clamped to 1.
  */
 template <typename T>
 class MinMaxFilter

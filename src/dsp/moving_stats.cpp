@@ -1,7 +1,5 @@
 #include "dsp/moving_stats.hpp"
 
-#include <algorithm>
-#include <cassert>
 
 namespace emprof::dsp {
 
@@ -35,93 +33,6 @@ MovingAverage::reset()
 {
     buf_.clear();
     sum_.reset();
-    count_ = 0;
-}
-
-MovingMinMax::MovingMinMax(std::size_t window)
-    : window_(window == 0 ? 1 : window),
-      capacity_(window_ + 1),
-      minRing_(capacity_),
-      maxRing_(capacity_)
-{}
-
-void
-MovingMinMax::reset()
-{
-    minHead_ = minTail_ = 0;
-    maxHead_ = maxTail_ = 0;
-    count_ = 0;
-}
-
-MovingVariance::MovingVariance(std::size_t window)
-    : window_(window == 0 ? 1 : window)
-{}
-
-double
-MovingVariance::push(double x)
-{
-    if (buf_.empty() && count_ == 0)
-        pivot_ = x;
-    buf_.push_back(x);
-    const double d = x - pivot_;
-    shifted_.add(d);
-    shiftedSq_.add(d * d);
-    ++count_;
-    if (buf_.size() > window_) {
-        const double od = buf_.front() - pivot_;
-        shifted_.add(-od);
-        shiftedSq_.add(-(od * od));
-        buf_.pop_front();
-    }
-    // Re-centring every window-full of pushes keeps the pivot near the
-    // window mean even when the signal wanders far from its first
-    // sample, at amortised O(1).
-    if (count_ % window_ == 0)
-        repivot();
-    return variance();
-}
-
-void
-MovingVariance::repivot()
-{
-    const double new_pivot = mean();
-    shifted_.reset();
-    shiftedSq_.reset();
-    for (double x : buf_) {
-        const double d = x - new_pivot;
-        shifted_.add(d);
-        shiftedSq_.add(d * d);
-    }
-    pivot_ = new_pivot;
-}
-
-double
-MovingVariance::mean() const
-{
-    if (buf_.empty())
-        return 0.0;
-    return pivot_ +
-           shifted_.value() / static_cast<double>(buf_.size());
-}
-
-double
-MovingVariance::variance() const
-{
-    if (buf_.empty())
-        return 0.0;
-    const double n = static_cast<double>(buf_.size());
-    const double m = shifted_.value() / n;
-    // Guard against tiny negative values from cancellation.
-    return std::max(0.0, shiftedSq_.value() / n - m * m);
-}
-
-void
-MovingVariance::reset()
-{
-    buf_.clear();
-    pivot_ = 0.0;
-    shifted_.reset();
-    shiftedSq_.reset();
     count_ = 0;
 }
 

@@ -1,14 +1,9 @@
 /**
  * @file
- * Streaming windowed statistics: moving average, moving min/max, moving
- * variance.
- *
- * The moving min/max pair is the core of EMPROF's signal normalisation
- * (Sec. IV of the paper): the received magnitude is mapped to [0, 1]
- * between a moving minimum and a moving maximum so that probe-position
- * gain and supply-voltage drift cancel out.  Both extrema are maintained
- * with monotonic wedges, giving O(1) amortised cost per sample, which is
- * what makes real-time operation at SDR sample rates feasible.
+ * Streaming moving average with a Kahan-compensated running sum, and
+ * its batch form for smoothing a whole series for display.  The
+ * normaliser's moving min/max envelope is dsp::MinMaxFilter
+ * (minmax_filter.hpp).
  */
 
 #ifndef EMPROF_DSP_MOVING_STATS_HPP
@@ -80,134 +75,6 @@ class MovingAverage
     std::size_t window_;
     std::deque<double> buf_;
     KahanSum sum_;
-    uint64_t count_ = 0;
-};
-
-/**
- * Streaming moving minimum and maximum over a fixed-length window.
- *
- * Implemented with the standard monotonic-wedge technique: each wedge
- * stores (index, value) pairs whose values are monotone, so the front
- * is always the current extremum and every sample is pushed/popped at
- * most once.  The wedges live in fixed ring buffers (capacity =
- * window), not deques: this class sits on EMPROF's per-sample hot
- * path, where it must keep up with SDR sample rates.
- */
-class MovingMinMax
-{
-  public:
-    explicit MovingMinMax(std::size_t window);
-
-    /** Push one sample. */
-    void
-    push(double x)
-    {
-        const uint64_t idx = count_++;
-        const uint64_t oldest = (idx >= window_) ? idx - window_ + 1 : 0;
-
-        // Evict entries that fell out of the window.
-        if (minHead_ != minTail_ && minRing_[minHead_].index < oldest)
-            bump(minHead_);
-        if (maxHead_ != maxTail_ && maxRing_[maxHead_].index < oldest)
-            bump(maxHead_);
-
-        // Maintain monotonicity: the min wedge is non-decreasing, the
-        // max wedge non-increasing.
-        while (minHead_ != minTail_ &&
-               minRing_[prev(minTail_)].value >= x) {
-            minTail_ = prev(minTail_);
-        }
-        while (maxHead_ != maxTail_ &&
-               maxRing_[prev(maxTail_)].value <= x) {
-            maxTail_ = prev(maxTail_);
-        }
-        minRing_[minTail_] = {idx, x};
-        bump(minTail_);
-        maxRing_[maxTail_] = {idx, x};
-        bump(maxTail_);
-    }
-
-    /** Minimum over the current window (requires >= 1 sample pushed). */
-    double min() const { return minRing_[minHead_].value; }
-
-    /** Maximum over the current window (requires >= 1 sample pushed). */
-    double max() const { return maxRing_[maxHead_].value; }
-
-    /** True once a full window of samples has been observed. */
-    bool warm() const { return count_ >= window_; }
-
-    /** Number of samples pushed so far. */
-    uint64_t count() const { return count_; }
-
-    void reset();
-
-    std::size_t window() const { return window_; }
-
-  private:
-    struct Entry
-    {
-        uint64_t index;
-        double value;
-    };
-
-    /** Advance a ring cursor. */
-    void
-    bump(std::size_t &cursor) const
-    {
-        if (++cursor == capacity_)
-            cursor = 0;
-    }
-
-    /** Ring position before @p cursor. */
-    std::size_t
-    prev(std::size_t cursor) const
-    {
-        return cursor == 0 ? capacity_ - 1 : cursor - 1;
-    }
-
-    std::size_t window_;
-    std::size_t capacity_; // window_ + 1 (one slot keeps head != tail)
-    std::vector<Entry> minRing_;
-    std::vector<Entry> maxRing_;
-    std::size_t minHead_ = 0, minTail_ = 0;
-    std::size_t maxHead_ = 0, maxTail_ = 0;
-    uint64_t count_ = 0;
-};
-
-/**
- * Streaming moving variance over a fixed-length window.
- *
- * Sums are taken of pivot-shifted values (x - pivot) with Kahan
- * compensation, and the pivot is re-centred on the window mean every
- * `window` pushes (an amortised O(1) rebuild from the buffer).  The
- * shift defeats the catastrophic cancellation of the naive
- * sum/sum-of-squares form when the signal sits on a large offset
- * (variance 0.25 at level 1e8 needs ~17 more digits than a double
- * carries without it), and the compensation stops the long-stream
- * drift of the running subtract-the-oldest update.
- */
-class MovingVariance
-{
-  public:
-    explicit MovingVariance(std::size_t window);
-
-    /** Push a sample; returns the population variance of the window. */
-    double push(double x);
-
-    double mean() const;
-    double variance() const;
-    bool warm() const { return count_ >= window_; }
-    void reset();
-
-  private:
-    /** Re-centre the pivot on the current mean and rebuild the sums. */
-    void repivot();
-
-    std::size_t window_;
-    std::deque<double> buf_;
-    double pivot_ = 0.0;
-    KahanSum shifted_;    // sum of (x - pivot)
-    KahanSum shiftedSq_;  // sum of (x - pivot)^2
     uint64_t count_ = 0;
 };
 

@@ -369,7 +369,7 @@ classicKernel(const float *x, std::size_t N, uint64_t emitFrom,
         const std::size_t B = b * w;
         const std::size_t len = std::min(w, N - B);
         {
-            EMPROF_OBS_STAGE("analyze.normalize");
+            EMPROF_OBS_STAGE("analyze.envelope");
             dsp::detail::suffixScanBlock<OpsF8, float>(x + B, len,
                                                        scurMin, scurMax);
         }
@@ -381,7 +381,7 @@ classicKernel(const float *x, std::size_t N, uint64_t emitFrom,
         const float combMax = prevMax > curMax ? prevMax : curMax;
         const float threshf = screenScale * (combMax - combMin);
         {
-            EMPROF_OBS_STAGE("analyze.detect");
+            EMPROF_OBS_STAGE("analyze.normalize_detect");
             classicForwardBlock(x + B, B, len, b == 0, sprevMin,
                                 sprevMax, threshf, emitFrom,
                                 config.minContrast, em);
@@ -464,7 +464,7 @@ resilientKernel(const float *x, std::size_t N, uint64_t emitFrom,
         const std::size_t len = std::min(w, N - B);
         const bool first = b == 0;
         {
-            EMPROF_OBS_STAGE("analyze.normalize");
+            EMPROF_OBS_STAGE("analyze.envelope");
             const float *xf = x + B; // this block; history via xf[-t]
 
             // Boxcar smoother.  Sum order is oldest-to-newest per
@@ -529,7 +529,7 @@ resilientKernel(const float *x, std::size_t N, uint64_t emitFrom,
         }
 
         {
-            EMPROF_OBS_STAGE("analyze.detect");
+            EMPROF_OBS_STAGE("analyze.normalize_detect");
             const __m256d inf4 = _mm256_set1_pd(kInfD);
             const __m256d ninf4 = _mm256_set1_pd(-kInfD);
             const __m256d vthresh = _mm256_set1_pd(threshd);

@@ -105,9 +105,9 @@ class MovingMinMaxNormalizer
     std::size_t window() const { return minmax_.window(); }
 
   private:
-    // VHGW sliding min/max: bit-identical extrema to the monotonic
-    // wedge (dsp::MovingMinMax) but with a branch-light fixed cost per
-    // sample, which is what the hot path wants.
+    // VHGW sliding min/max: bit-identical extrema to a monotonic
+    // wedge but with a branch-light fixed cost per sample, which is
+    // what the hot path wants.
     dsp::MinMaxFilter<double> minmax_;
     double minContrast_;
 };

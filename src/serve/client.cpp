@@ -133,17 +133,6 @@ Client::close()
 }
 
 bool
-Client::open(bool resilient, std::string *error)
-{
-    OpenRequest req{};
-    req.flags = resilient ? kOpenResilient : 0;
-    SessionId id{};
-    uint64_t resume_offset = 0;
-    SessionState state = SessionState::Fresh;
-    return openSession(req, id, resume_offset, state, nullptr, error);
-}
-
-bool
 Client::openSession(const OpenRequest &request, SessionId &id,
                     uint64_t &resumeOffset, SessionState &state,
                     ErrorCode *errorCode, std::string *error,
@@ -257,44 +246,6 @@ Client::finish()
         return result;
     }
     result.ok = true;
-    return result;
-}
-
-PushResult
-Client::push(const uint8_t *capture, std::size_t bytes, bool resilient,
-             std::size_t uploadChunkBytes)
-{
-    PushResult result;
-    std::string error;
-    if (uploadChunkBytes == 0 || uploadChunkBytes > kMaxFramePayload)
-        uploadChunkBytes = kMaxFramePayload;
-    OpenRequest req{};
-    req.flags = resilient ? kOpenResilient : 0;
-    uint64_t resume_offset = 0;
-    SessionState state = SessionState::Fresh;
-    bool lost = false;
-    if (!openSession(req, result.sessionId, resume_offset, state,
-                     &result.errorCode, &error, &lost)) {
-        result.error = error;
-        result.connectionLost = lost;
-        close();
-        return result;
-    }
-    for (std::size_t off = 0; off < bytes;) {
-        const std::size_t take =
-            std::min(uploadChunkBytes, bytes - off);
-        if (!sendData(capture + off, take, &error, &lost)) {
-            result.error = error;
-            result.connectionLost = lost;
-            adoptPendingError(result);
-            close();
-            return result;
-        }
-        off += take;
-    }
-    const SessionId id = result.sessionId;
-    result = finish();
-    result.sessionId = id;
     return result;
 }
 

@@ -93,8 +93,6 @@ class Client
 
     void close();
 
-    bool connected() const { return fd_ >= 0; }
-
     /** Hand the connected fd to the caller (the chaos harness drives
      *  the socket by hand); the Client forgets it. */
     int releaseFd()
@@ -105,18 +103,11 @@ class Client
     }
 
     /**
-     * Run one full session over the open connection: Open (with
-     * @p resilient mapped to kOpenResilient), the capture bytes in
-     * Data frames of @p uploadChunkBytes, Finish, then block for the
-     * Report/Error.  The connection is closed afterwards either way.
-     */
-    PushResult push(const uint8_t *capture, std::size_t bytes,
-                    bool resilient = false,
-                    std::size_t uploadChunkBytes = 256 * 1024);
-
-    /**
-     * Resumable push: like push(), but survives the connection dying
-     * under it.  Reconnects (with jittered exponential backoff) up to
+     * Push one capture: connect, Open (options.resilient maps to
+     * kOpenResilient), the bytes in Data frames of
+     * options.uploadChunkBytes, Finish, then block for the
+     * Report/Error.  Survives the connection dying under it:
+     * reconnects (with jittered exponential backoff) up to
      * options.maxAttempts times, re-attaching to the same session id
      * so the server's parked pipeline continues from its durable
      * offset — or, when the session already finished, collecting the
@@ -128,16 +119,11 @@ class Client
                              const PushOptions &options);
 
     /**
-     * Low-level session steps, for callers that interleave uploads
-     * with other work (the load generator paces Data frames itself).
-     */
-    bool open(bool resilient, std::string *error = nullptr);
-
-    /**
-     * Full v2 handshake: write @p request, block for the OpenAck (or
-     * a typed Error, reported through @p errorCode + @p error).  On
-     * success @p id / @p resumeOffset / @p state carry the server's
-     * answer; state == Complete means a Report frame follows.
+     * The session steps, for callers that drive an upload themselves.
+     * openSession is the full v2 handshake: write @p request, block for
+     * the OpenAck (or a typed Error, reported through @p errorCode +
+     * @p error).  On success @p id / @p resumeOffset / @p state carry
+     * the server's answer; state == Complete means a Report follows.
      */
     bool openSession(const OpenRequest &request, SessionId &id,
                      uint64_t &resumeOffset, SessionState &state,

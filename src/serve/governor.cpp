@@ -31,8 +31,7 @@ LoadGovernor::classify(const LoadSnapshot &snap) const
         breached(snap.connections, marks_.fdBudget))
         return Level::Hard;
     if (breached(snap.queueBytes, marks_.softQueueBytes) ||
-        breached(snap.activeSessions, marks_.softSessions) ||
-        breached(snap.poolQueueDepth, marks_.softPoolQueue))
+        breached(snap.activeSessions, marks_.softSessions))
         return Level::Soft;
     return Level::Normal;
 }
@@ -45,8 +44,6 @@ LoadGovernor::softExcessRatio(const LoadSnapshot &snap) const
     worst =
         std::max(worst, ratio(snap.activeSessions, marks_.softSessions));
     worst = std::max(worst, ratio(snap.connections, marks_.fdBudget));
-    worst = std::max(worst,
-                     ratio(snap.poolQueueDepth, marks_.softPoolQueue));
     return worst;
 }
 

@@ -55,10 +55,6 @@ struct LoadWatermarks
      *  Hard condition because EMFILE takes the listener down). */
     uint64_t fdBudget = 0;
 
-    /** Analysis pool backlog (tasks queued, not running).  Soft
-     *  only: a deep pool queue means admission outpaces analysis. */
-    uint64_t softPoolQueue = 0;
-
     /** RetryAfter hint range: base at the soft line, max at/beyond
      *  2x the most-exceeded watermark. */
     uint32_t retryAfterBaseMs = 250;
@@ -68,8 +64,7 @@ struct LoadWatermarks
     anyEnabled() const
     {
         return softQueueBytes != 0 || hardQueueBytes != 0 ||
-               softSessions != 0 || hardSessions != 0 || fdBudget != 0 ||
-               softPoolQueue != 0;
+               softSessions != 0 || hardSessions != 0 || fdBudget != 0;
     }
 };
 
@@ -80,7 +75,6 @@ struct LoadSnapshot
     uint64_t activeSessions = 0; ///< accepted, not yet closed
     uint64_t connections = 0;    ///< fds: sessions + listeners + pipe
     uint64_t parked = 0;         ///< parked resumable pipelines
-    uint64_t poolQueueDepth = 0; ///< analysis tasks waiting
 };
 
 class LoadGovernor

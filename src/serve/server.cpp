@@ -1092,7 +1092,6 @@ Server::currentSnapshot() const
     // Sessions (incl. pre-Open connections) + listeners + the wake
     // pipe and the emergency reserve.
     snap.connections = sessions_.size() + listeners_.size() + 3;
-    snap.poolQueueDepth = pool_ ? pool_->queueDepth() : 0;
     return snap;
 }
 

@@ -32,7 +32,10 @@
  *
  * Backpressure: at sessionBufferBytes queued the socket leaves the
  * poll set until the pump drains below half, so per-session memory is
- * queue budget + one span + halo.  A malformed frame, bad EMCAP stream
+ * queue budget + one span + halo.  Span and halo are counted in
+ * samples of the capture's declared rate (session_pipeline.hpp), so
+ * that bound grows with the rate: a capture declaring 25 GHz is
+ * buffered whole until Finish.  A malformed frame, bad EMCAP stream
  * or analysis exception yields a typed Error for that session only.
  *
  * Shutdown: stop() joins the I/O thread and takes its place.  Idle

@@ -8,10 +8,8 @@
 namespace emprof::serve {
 
 SessionPipeline::SessionPipeline(const profiler::EmProfConfig &base,
-                                 std::size_t spanSamples,
-                                 bool honourCaptureClock)
-    : config_(base), spanSamples_(spanSamples),
-      honourCaptureClock_(honourCaptureClock)
+                                 std::size_t spanSamples)
+    : config_(base), spanSamples_(spanSamples)
 {
 }
 
@@ -32,7 +30,7 @@ SessionPipeline::onHeader(std::string *error)
 {
     const store::CaptureInfo &info = decoder_.info();
     config_.sampleRateHz = info.sampleRateHz;
-    if (honourCaptureClock_ && info.clockHz > 0.0)
+    if (info.clockHz > 0.0)
         config_.clockHz = info.clockHz;
     std::string why;
     if (!config_.validate(&why))

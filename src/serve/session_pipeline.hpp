@@ -23,8 +23,11 @@
  *
  * Peak memory per session is therefore
  *     halo + spanSamples + (one decoded EMCAP chunk)
- * samples, independent of capture length — this is the number the
- * server multiplies by its session limit to size its memory budget.
+ * samples, independent of capture length but not of the declared
+ * sample rate: the default span is 8 normalisation windows and the
+ * halo about one, both counted in samples of the header's rate.  A
+ * capture that declares 25 GHz has a span of 8e8 samples, so a shorter
+ * upload is buffered whole until finish().
  *
  * The pipeline is single-threaded by design: the server guarantees at
  * most one in-flight call per session (feeds are serialised through
@@ -52,15 +55,14 @@ class SessionPipeline
     /**
      * @param base Analysis config; sampleRateHz is overridden by the
      *        capture header once it arrives, and clockHz too when the
-     *        header records one (> 0) and @p honourCaptureClock —
-     *        mirroring emprof_analyze's defaults.
+     *        header records one (> 0), mirroring emprof_analyze's
+     *        defaults.
      * @param spanSamples Analysis span length; 0 picks
      *        max(kDefaultChunkSamples, 8 norm windows).  Tests use
      *        tiny spans to force mid-upload analysis.
      */
     explicit SessionPipeline(const profiler::EmProfConfig &base,
-                             std::size_t spanSamples = 0,
-                             bool honourCaptureClock = true);
+                             std::size_t spanSamples = 0);
 
     /**
      * Ingest the next bytes of the capture upload.
@@ -125,7 +127,6 @@ class SessionPipeline
 
     profiler::EmProfConfig config_;
     std::size_t spanSamples_;
-    bool honourCaptureClock_;
 
     EmcapStreamDecoder decoder_;
     std::optional<profiler::SpanWindow> window_; ///< from the header on

@@ -1,21 +1,102 @@
 /**
  * @file
- * Differential tests of the VHGW MinMaxFilter against the deque-style
- * monotonic-wedge MovingMinMax: both must produce identical extrema on
- * every push, for every window size, including warm-up.
+ * The monotonic-wedge MovingMinMax oracle against a brute-force window,
+ * then differential tests of the VHGW MinMaxFilter against the oracle:
+ * both must produce identical extrema on every push, for every window
+ * size, including warm-up.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
 #include <vector>
 
 #include "dsp/minmax_filter.hpp"
-#include "dsp/moving_stats.hpp"
 #include "dsp/rng.hpp"
+#include "moving_minmax_oracle.hpp"
 
 namespace emprof::dsp {
 namespace {
+
+using oracle::MovingMinMax;
+
+/** Brute-force reference for min/max over a sliding window. */
+class MinMaxReference
+{
+  public:
+    explicit MinMaxReference(std::size_t window) : window_(window) {}
+
+    void
+    push(double x)
+    {
+        buf_.push_back(x);
+        if (buf_.size() > window_)
+            buf_.pop_front();
+    }
+
+    double min() const { return *std::min_element(buf_.begin(), buf_.end()); }
+    double max() const { return *std::max_element(buf_.begin(), buf_.end()); }
+
+  private:
+    std::size_t window_;
+    std::deque<double> buf_;
+};
+
+class MinMaxWindows : public ::testing::TestWithParam<std::size_t>
+{};
+
+TEST_P(MinMaxWindows, MatchesBruteForceOnRandomData)
+{
+    const std::size_t window = GetParam();
+    MovingMinMax mm(window);
+    MinMaxReference ref(window);
+    Rng rng(0xBEEF + window);
+    for (int i = 0; i < 3000; ++i) {
+        const double x = rng.uniform(-100.0, 100.0);
+        mm.push(x);
+        ref.push(x);
+        ASSERT_DOUBLE_EQ(mm.min(), ref.min()) << "at sample " << i;
+        ASSERT_DOUBLE_EQ(mm.max(), ref.max()) << "at sample " << i;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Windows, MinMaxWindows,
+                         ::testing::Values(1, 2, 3, 8, 64, 1000));
+
+TEST(MovingMinMax, MonotoneRampTracksWindowEdges)
+{
+    MovingMinMax mm(10);
+    for (int i = 0; i < 100; ++i) {
+        mm.push(i);
+        EXPECT_DOUBLE_EQ(mm.max(), i);
+        EXPECT_DOUBLE_EQ(mm.min(), std::max(0, i - 9));
+    }
+}
+
+TEST(MovingMinMax, WarmSemantics)
+{
+    MovingMinMax mm(4);
+    for (int i = 0; i < 3; ++i) {
+        mm.push(i);
+        EXPECT_FALSE(mm.warm());
+    }
+    mm.push(3.0);
+    EXPECT_TRUE(mm.warm());
+}
+
+TEST(MovingMinMax, ResetRestartsCounting)
+{
+    MovingMinMax mm(2);
+    mm.push(5.0);
+    mm.reset();
+    EXPECT_EQ(mm.count(), 0u);
+    mm.push(-1.0);
+    EXPECT_DOUBLE_EQ(mm.min(), -1.0);
+    EXPECT_DOUBLE_EQ(mm.max(), -1.0);
+}
+
 
 std::vector<double>
 randomSamples(std::size_t n, uint64_t seed)

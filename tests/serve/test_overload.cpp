@@ -14,199 +14,25 @@
  * CI alongside the rest of test_serve.
  */
 
-#include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
-#include "../e2e/golden_common.hpp"
 #include "serve/chaos.hpp"
-#include "serve/client.hpp"
 #include "serve/governor.hpp"
-#include "serve/server.hpp"
+#include "serve_support.hpp"
 
 using namespace emprof;
 using namespace emprof::serve;
+using namespace emprof::serve::support;
 
 namespace {
-
-std::string
-goldenPath(const char *name)
-{
-    return std::string(EMPROF_GOLDEN_DIR) + "/" + name;
-}
-
-std::vector<uint8_t>
-readFileBytes(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(f, nullptr) << "missing fixture " << path;
-    std::vector<uint8_t> bytes;
-    if (f == nullptr)
-        return bytes;
-    char buf[4096];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        bytes.insert(bytes.end(), buf, buf + got);
-    std::fclose(f);
-    return bytes;
-}
-
-std::vector<profiler::StallEvent>
-loadExpected()
-{
-    std::FILE *f =
-        std::fopen(goldenPath(golden::kExpectedFile).c_str(), "rb");
-    EXPECT_NE(f, nullptr);
-    std::string text;
-    if (f != nullptr) {
-        char buf[4096];
-        std::size_t got;
-        while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-            text.append(buf, got);
-        std::fclose(f);
-    }
-    std::vector<profiler::StallEvent> events;
-    std::string why;
-    EXPECT_TRUE(golden::eventsFromJson(text, events, &why)) << why;
-    return events;
-}
-
-void
-expectEventsBitExact(const std::vector<profiler::StallEvent> &expected,
-                     const std::vector<profiler::StallEvent> &actual,
-                     const std::string &label)
-{
-    ASSERT_EQ(expected.size(), actual.size()) << label;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-        const auto &e = expected[i];
-        const auto &a = actual[i];
-        EXPECT_EQ(e.startSample, a.startSample) << label << " #" << i;
-        EXPECT_EQ(e.endSample, a.endSample) << label << " #" << i;
-        EXPECT_EQ(golden::doubleBits(e.depth),
-                  golden::doubleBits(a.depth))
-            << label << " #" << i;
-        EXPECT_EQ(golden::doubleBits(e.stallCycles),
-                  golden::doubleBits(a.stallCycles))
-            << label << " #" << i;
-    }
-}
-
-std::string
-freshDir(const char *tag)
-{
-    static std::atomic<int> counter{0};
-    std::string dir = testing::TempDir() + "emprof_overload_" + tag +
-                      "_" + std::to_string(::getpid()) + "_" +
-                      std::to_string(counter.fetch_add(1));
-    std::filesystem::create_directories(dir);
-    return dir;
-}
-
-/** RAII server on a per-test unix socket, keeping the caller's
- *  config (same shape as test_resume.cpp's fixture). */
-class ServerFixture
-{
-  public:
-    explicit ServerFixture(ServerConfig config = {})
-    {
-        static std::atomic<int> counter{0};
-        path_ = testing::TempDir() + "emprof_overload_test_" +
-                std::to_string(::getpid()) + "_" +
-                std::to_string(counter.fetch_add(1)) + ".sock";
-        config.unixPath = path_;
-        if (config.threads == 0)
-            config.threads = 2;
-        profiler::EmProfConfig analysis = golden::goldenConfig();
-        analysis.sampleRateHz = 1.0;
-        analysis.clockHz = 1.0;
-        config.analysis = analysis;
-        server_ = std::make_unique<Server>(std::move(config));
-        std::string error;
-        started_ = server_->start(&error);
-        EXPECT_TRUE(started_) << error;
-    }
-
-    Endpoint
-    endpoint() const
-    {
-        Endpoint ep;
-        ep.tcp = false;
-        ep.unixPath = path_;
-        return ep;
-    }
-
-    Server &server() { return *server_; }
-
-    template <typename Pred>
-    bool
-    waitFor(Pred done) const
-    {
-        for (int i = 0; i < 5000; ++i) {
-            if (done(server_->stats()))
-                return true;
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        return done(server_->stats());
-    }
-
-  private:
-    std::string path_;
-    std::unique_ptr<Server> server_;
-    bool started_ = false;
-};
-
-/** Reconnect with @p id and finish the upload from the server's
- *  durable offset; returns the push result. */
-PushResult
-resumeAndFinish(ServerFixture &fixture,
-                const std::vector<uint8_t> &bytes, const SessionId &id,
-                bool resilient)
-{
-    Client client;
-    std::string error;
-    PushResult out;
-    if (!client.connect(fixture.endpoint(), &error)) {
-        out.error = error;
-        return out;
-    }
-    OpenRequest open{};
-    open.flags = (resilient ? kOpenResilient : 0u) | kOpenResume;
-    std::memcpy(open.sessionId, id.data(), id.size());
-    open.resumeFrom = kResumeQuery;
-    SessionId echoed{};
-    uint64_t offset = 0;
-    SessionState state = SessionState::Fresh;
-    ErrorCode code = ErrorCode::Internal;
-    if (!client.openSession(open, echoed, offset, state, &code,
-                            &error)) {
-        out.error = error;
-        out.errorCode = code;
-        return out;
-    }
-    EXPECT_EQ(static_cast<uint32_t>(state),
-              static_cast<uint32_t>(SessionState::Resumed));
-    EXPECT_LE(offset, bytes.size());
-    if (!client.sendData(bytes.data() + offset, bytes.size() - offset,
-                         &error)) {
-        out.error = error;
-        return out;
-    }
-    out = client.finish();
-    out.sessionId = echoed;
-    return out;
-}
 
 /** Open a fresh session and keep the raw connection alive — a load
  *  anchor that holds an active-session slot without sending data. */
@@ -250,35 +76,6 @@ class HeldSession
     SessionId id_{};
 };
 
-/** A parked session: upload @p headBytes then drop the link. */
-SessionId
-uploadHeadAndDrop(ServerFixture &fixture,
-                  const std::vector<uint8_t> &bytes,
-                  std::size_t headBytes)
-{
-    const uint64_t parkedBefore =
-        fixture.server().stats().sessionsParked;
-    SessionId id{};
-    {
-        Client client;
-        std::string error;
-        EXPECT_TRUE(client.connect(fixture.endpoint(), &error))
-            << error;
-        OpenRequest open{};
-        uint64_t offset = 0;
-        SessionState state = SessionState::Fresh;
-        EXPECT_TRUE(client.openSession(open, id, offset, state,
-                                       nullptr, &error))
-            << error;
-        EXPECT_TRUE(client.sendData(bytes.data(), headBytes, &error))
-            << error;
-    }
-    EXPECT_TRUE(fixture.waitFor([&](const ServerStats &s) {
-        return s.sessionsParked > parkedBefore;
-    })) << "session was never parked";
-    return id;
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -292,7 +89,6 @@ TEST(Governor, DisabledWatermarksNeverLeaveNormal)
     snap.queueBytes = uint64_t{1} << 40;
     snap.activeSessions = 1u << 20;
     snap.connections = 1u << 20;
-    snap.poolQueueDepth = 1u << 20;
     EXPECT_FALSE(governor.watermarks().anyEnabled());
     EXPECT_EQ(governor.classify(snap), LoadGovernor::Level::Normal);
     EXPECT_EQ(governor.shedTarget(snap), 0u);
@@ -359,7 +155,7 @@ TEST(Governor, BackoffHintScalesFromBaseToMax)
 
 TEST(Overload, IdleStallIsShedTypedAndResumesBitIdentically)
 {
-    const auto bytes = readFileBytes(goldenPath(golden::kCaptureFile));
+    const auto bytes = goldenCapture();
     ASSERT_FALSE(bytes.empty());
     const auto expected = loadExpected();
 
@@ -391,13 +187,13 @@ TEST(Overload, IdleStallIsShedTypedAndResumesBitIdentically)
     const PushResult result =
         resumeAndFinish(fixture, bytes, outcome.id, false);
     ASSERT_TRUE(result.ok) << result.error;
-    expectEventsBitExact(expected, result.report.events,
-                         "resume-after-idle-shed");
+    EXPECT_EQ(golden::eventsDiff(expected, result.report.events), "")
+        << "resume-after-idle-shed";
 }
 
 TEST(Overload, TornFrameStallIsShedTyped)
 {
-    const auto bytes = readFileBytes(goldenPath(golden::kCaptureFile));
+    const auto bytes = goldenCapture();
     ASSERT_FALSE(bytes.empty());
 
     ServerConfig config;
@@ -418,7 +214,7 @@ TEST(Overload, TornFrameStallIsShedTyped)
 
 TEST(Overload, DeadlineBindsEvenWhileProgressIsBeingMade)
 {
-    const auto bytes = readFileBytes(goldenPath(golden::kCaptureFile));
+    const auto bytes = goldenCapture();
     ASSERT_FALSE(bytes.empty());
 
     ServerConfig config;
@@ -443,7 +239,7 @@ TEST(Overload, DeadlineBindsEvenWhileProgressIsBeingMade)
 
 TEST(Overload, SlowLorisTrickleIsShedByTheRateFloor)
 {
-    const auto bytes = readFileBytes(goldenPath(golden::kCaptureFile));
+    const auto bytes = goldenCapture();
     ASSERT_FALSE(bytes.empty());
 
     ServerConfig config;
@@ -522,7 +318,7 @@ TEST(Overload, SoftWatermarkAnswersFreshOpensWithRetryAfter)
 
 TEST(Overload, PushResumableHonorsTheRetryAfterHint)
 {
-    const auto bytes = readFileBytes(goldenPath(golden::kCaptureFile));
+    const auto bytes = goldenCapture();
     ASSERT_FALSE(bytes.empty());
     const auto expected = loadExpected();
 
@@ -553,13 +349,13 @@ TEST(Overload, PushResumableHonorsTheRetryAfterHint)
     ASSERT_TRUE(result.ok) << result.error;
     EXPECT_GE(result.attempts, 2u)
         << "the first attempt should have been told RetryAfter";
-    expectEventsBitExact(expected, result.report.events,
-                         "push-through-retry-after");
+    EXPECT_EQ(golden::eventsDiff(expected, result.report.events), "")
+        << "push-through-retry-after";
 }
 
 TEST(Overload, HardWatermarkShedsTheMostStalledSessionFirst)
 {
-    const auto bytes = readFileBytes(goldenPath(golden::kCaptureFile));
+    const auto bytes = goldenCapture();
     ASSERT_FALSE(bytes.empty());
     const auto expected = loadExpected();
 
@@ -612,14 +408,14 @@ TEST(Overload, HardWatermarkShedsTheMostStalledSessionFirst)
     ASSERT_TRUE(resultB.ok)
         << "the well-behaved session must be untouched: "
         << resultB.error;
-    expectEventsBitExact(expected, resultB.report.events,
-                         "survivor-of-hard-shed");
+    EXPECT_EQ(golden::eventsDiff(expected, resultB.report.events), "")
+        << "survivor-of-hard-shed";
     EXPECT_GE(fixture.server().stats().sessionsShed, 1u);
 }
 
 TEST(Overload, FdExhaustionOnAcceptAnswersTypedRetryAfter)
 {
-    const auto bytes = readFileBytes(goldenPath(golden::kCaptureFile));
+    const auto bytes = goldenCapture();
     ASSERT_FALSE(bytes.empty());
 
     ServerFixture fixture;
@@ -662,10 +458,7 @@ TEST(Overload, FdExhaustionOnAcceptAnswersTypedRetryAfter)
 
     // Recovery: once descriptors are back (chaos disarmed) and the
     // listener mute lapses, a normal push goes straight through.
-    Client client;
-    std::string error;
-    ASSERT_TRUE(client.connect(fixture.endpoint(), &error)) << error;
-    const PushResult result = client.push(bytes.data(), bytes.size());
+    const PushResult result = pushOnce(fixture.endpoint(), bytes);
     ASSERT_TRUE(result.ok) << result.error;
 }
 
@@ -675,7 +468,7 @@ TEST(Overload, FdExhaustionOnAcceptAnswersTypedRetryAfter)
 
 TEST(Overload, ExpiredParkTtlRaceLosesToTheClockAndStartsFresh)
 {
-    const auto bytes = readFileBytes(goldenPath(golden::kCaptureFile));
+    const auto bytes = goldenCapture();
     ASSERT_FALSE(bytes.empty());
     const auto expected = loadExpected();
 
@@ -711,13 +504,13 @@ TEST(Overload, ExpiredParkTtlRaceLosesToTheClockAndStartsFresh)
         << error;
     const PushResult result = client.finish();
     ASSERT_TRUE(result.ok) << result.error;
-    expectEventsBitExact(expected, result.report.events,
-                         "fresh-after-ttl-expiry");
+    EXPECT_EQ(golden::eventsDiff(expected, result.report.events), "")
+        << "fresh-after-ttl-expiry";
 }
 
 TEST(Overload, MaxParkedChurnEvictsTheOldestPark)
 {
-    const auto bytes = readFileBytes(goldenPath(golden::kCaptureFile));
+    const auto bytes = goldenCapture();
     ASSERT_FALSE(bytes.empty());
     const auto expected = loadExpected();
 
@@ -737,8 +530,8 @@ TEST(Overload, MaxParkedChurnEvictsTheOldestPark)
     const PushResult resumed =
         resumeAndFinish(fixture, bytes, second, false);
     ASSERT_TRUE(resumed.ok) << resumed.error;
-    expectEventsBitExact(expected, resumed.report.events,
-                         "survivor-of-park-eviction");
+    EXPECT_EQ(golden::eventsDiff(expected, resumed.report.events), "")
+        << "survivor-of-park-eviction";
 
     // ...then the evicted (older) session is answered Fresh-from-zero.
     {
@@ -768,7 +561,7 @@ TEST(Overload, MaxParkedChurnEvictsTheOldestPark)
 
 TEST(Overload, SpoolEnospcDegradesToNonDurableServing)
 {
-    const auto bytes = readFileBytes(goldenPath(golden::kCaptureFile));
+    const auto bytes = goldenCapture();
     ASSERT_FALSE(bytes.empty());
     const auto expected = loadExpected();
 
@@ -780,16 +573,11 @@ TEST(Overload, SpoolEnospcDegradesToNonDurableServing)
         ChaosPlan plan;
         plan.failSpoolAppends = 1; // the next append sees ENOSPC
         ScopedChaosPlan scoped(plan);
-        Client client;
-        std::string error;
-        ASSERT_TRUE(client.connect(fixture.endpoint(), &error))
-            << error;
-        const PushResult result =
-            client.push(bytes.data(), bytes.size());
+        const PushResult result = pushOnce(fixture.endpoint(), bytes);
         // Durability is lost; the REPLY is not.
         ASSERT_TRUE(result.ok) << result.error;
-        expectEventsBitExact(expected, result.report.events,
-                             "served-despite-enospc");
+        EXPECT_EQ(golden::eventsDiff(expected, result.report.events), "")
+            << "served-despite-enospc";
         EXPECT_EQ(ChaosInjector::spoolAppendsStolen(), 1u);
     }
     ServerStats stats = fixture.server().stats();
@@ -797,10 +585,7 @@ TEST(Overload, SpoolEnospcDegradesToNonDurableServing)
     EXPECT_EQ(stats.resultsSpooled, 0u);
 
     // With space back, the next session is durable again.
-    Client client;
-    std::string error;
-    ASSERT_TRUE(client.connect(fixture.endpoint(), &error)) << error;
-    const PushResult result = client.push(bytes.data(), bytes.size());
+    const PushResult result = pushOnce(fixture.endpoint(), bytes);
     ASSERT_TRUE(result.ok) << result.error;
     stats = fixture.server().stats();
     EXPECT_EQ(stats.resultsSpoolFailed, 1u);
@@ -809,7 +594,7 @@ TEST(Overload, SpoolEnospcDegradesToNonDurableServing)
 
 TEST(Overload, DisconnectTaxonomyParksUploadsAndCountsTornHandshakes)
 {
-    const auto bytes = readFileBytes(goldenPath(golden::kCaptureFile));
+    const auto bytes = goldenCapture();
     ASSERT_FALSE(bytes.empty());
 
     ServerFixture fixture; // default config: no reaction expected
@@ -886,7 +671,7 @@ TEST(Overload, HealthProbeAnswersLiveWithoutOpeningASession)
 
 TEST(Overload, DefaultConfigIsAStrictNoOp)
 {
-    const auto bytes = readFileBytes(goldenPath(golden::kCaptureFile));
+    const auto bytes = goldenCapture();
     ASSERT_FALSE(bytes.empty());
     const auto expected = loadExpected();
 
@@ -908,11 +693,8 @@ TEST(Overload, DefaultConfigIsAStrictNoOp)
     EXPECT_EQ(fixture.server().stats().retryAfterSent, 0u);
 
     // And normal service is untouched.
-    Client client;
-    std::string error;
-    ASSERT_TRUE(client.connect(fixture.endpoint(), &error)) << error;
-    const PushResult result = client.push(bytes.data(), bytes.size());
+    const PushResult result = pushOnce(fixture.endpoint(), bytes);
     ASSERT_TRUE(result.ok) << result.error;
-    expectEventsBitExact(expected, result.report.events,
-                         "no-op-baseline");
+    EXPECT_EQ(golden::eventsDiff(expected, result.report.events), "")
+        << "no-op-baseline";
 }

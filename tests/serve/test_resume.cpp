@@ -9,101 +9,21 @@
  * an injected mid-upload drop end to end.  Runs under TSan in CI.
  */
 
-#include <atomic>
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
-#include "../e2e/golden_common.hpp"
-#include "serve/client.hpp"
-#include "serve/server.hpp"
+#include "serve_support.hpp"
 
 using namespace emprof;
 using namespace emprof::serve;
+using namespace emprof::serve::support;
 
 namespace {
-
-std::string
-goldenPath(const char *name)
-{
-    return std::string(EMPROF_GOLDEN_DIR) + "/" + name;
-}
-
-std::vector<uint8_t>
-readFileBytes(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(f, nullptr) << "missing fixture " << path;
-    std::vector<uint8_t> bytes;
-    if (f == nullptr)
-        return bytes;
-    char buf[4096];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        bytes.insert(bytes.end(), buf, buf + got);
-    std::fclose(f);
-    return bytes;
-}
-
-std::vector<profiler::StallEvent>
-loadExpected()
-{
-    std::FILE *f =
-        std::fopen(goldenPath(golden::kExpectedFile).c_str(), "rb");
-    EXPECT_NE(f, nullptr);
-    std::string text;
-    if (f != nullptr) {
-        char buf[4096];
-        std::size_t got;
-        while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-            text.append(buf, got);
-        std::fclose(f);
-    }
-    std::vector<profiler::StallEvent> events;
-    std::string why;
-    EXPECT_TRUE(golden::eventsFromJson(text, events, &why)) << why;
-    return events;
-}
-
-void
-expectEventsBitExact(const std::vector<profiler::StallEvent> &expected,
-                     const std::vector<profiler::StallEvent> &actual,
-                     const std::string &label)
-{
-    ASSERT_EQ(expected.size(), actual.size()) << label;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-        const auto &e = expected[i];
-        const auto &a = actual[i];
-        EXPECT_EQ(e.startSample, a.startSample) << label << " #" << i;
-        EXPECT_EQ(e.endSample, a.endSample) << label << " #" << i;
-        EXPECT_EQ(golden::doubleBits(e.depth),
-                  golden::doubleBits(a.depth))
-            << label << " #" << i;
-        EXPECT_EQ(golden::doubleBits(e.durationNs),
-                  golden::doubleBits(a.durationNs))
-            << label << " #" << i;
-        EXPECT_EQ(golden::doubleBits(e.stallCycles),
-                  golden::doubleBits(a.stallCycles))
-            << label << " #" << i;
-        EXPECT_EQ(static_cast<int>(e.kind), static_cast<int>(a.kind))
-            << label << " #" << i;
-        EXPECT_EQ(static_cast<int>(e.level), static_cast<int>(a.level))
-            << label << " #" << i;
-        EXPECT_EQ(golden::doubleBits(e.levelConfidence),
-                  golden::doubleBits(a.levelConfidence))
-            << label << " #" << i;
-    }
-}
 
 void
 expectReportsBitExact(const DecodedReport &expected,
@@ -115,189 +35,16 @@ expectReportsBitExact(const DecodedReport &expected,
     EXPECT_EQ(golden::doubleBits(expected.coverageFraction),
               golden::doubleBits(actual.coverageFraction))
         << label;
-    expectEventsBitExact(expected.events, actual.events, label);
+    EXPECT_EQ(golden::eventsDiff(expected.events, actual.events), "")
+        << label;
     EXPECT_EQ(expected.reportText, actual.reportText) << label;
-}
-
-std::string
-freshDir(const char *tag)
-{
-    static std::atomic<int> counter{0};
-    std::string dir = testing::TempDir() + "emprof_resume_" + tag +
-                      "_" + std::to_string(::getpid()) + "_" +
-                      std::to_string(counter.fetch_add(1));
-    std::filesystem::create_directories(dir);
-    return dir;
-}
-
-/** RAII server on a per-test unix socket (same shape as
- *  test_server.cpp's fixture, but keeps the caller's config). */
-class ServerFixture
-{
-  public:
-    explicit ServerFixture(ServerConfig config = {})
-    {
-        static std::atomic<int> counter{0};
-        path_ = testing::TempDir() + "emprof_resume_test_" +
-                std::to_string(::getpid()) + "_" +
-                std::to_string(counter.fetch_add(1)) + ".sock";
-        config.unixPath = path_;
-        if (config.threads == 0)
-            config.threads = 2;
-        profiler::EmProfConfig analysis = golden::goldenConfig();
-        analysis.sampleRateHz = 1.0;
-        analysis.clockHz = 1.0;
-        config.analysis = analysis;
-        server_ = std::make_unique<Server>(std::move(config));
-        std::string error;
-        started_ = server_->start(&error);
-        EXPECT_TRUE(started_) << error;
-    }
-
-    Endpoint
-    endpoint() const
-    {
-        Endpoint ep;
-        ep.tcp = false;
-        ep.unixPath = path_;
-        return ep;
-    }
-
-    Server &server() { return *server_; }
-
-    template <typename Pred>
-    bool
-    waitFor(Pred done) const
-    {
-        for (int i = 0; i < 5000; ++i) {
-            if (done(server_->stats()))
-                return true;
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        return done(server_->stats());
-    }
-
-  private:
-    std::string path_;
-    std::unique_ptr<Server> server_;
-    bool started_ = false;
-};
-
-/** Raw unix socket for driving frames without the Client helper. */
-class RawConnection
-{
-  public:
-    explicit RawConnection(const std::string &path)
-    {
-        fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (fd_ < 0 || path.size() >= sizeof(addr.sun_path))
-            return;
-        std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-        if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            ::close(fd_);
-            fd_ = -1;
-        }
-    }
-
-    bool ok() const { return fd_ >= 0; }
-    int fd() const { return fd_; }
-
-    ~RawConnection()
-    {
-        if (fd_ >= 0)
-            ::close(fd_);
-    }
-
-  private:
-    int fd_ = -1;
-};
-
-/** Upload the first @p headBytes of @p bytes then drop the link; wait
- *  until the server has parked the session.  Returns the session id. */
-SessionId
-uploadHeadAndDrop(ServerFixture &fixture,
-                  const std::vector<uint8_t> &bytes,
-                  std::size_t headBytes, bool resilient)
-{
-    const uint64_t parkedBefore =
-        fixture.server().stats().sessionsParked;
-    SessionId id{};
-    {
-        Client client;
-        std::string error;
-        EXPECT_TRUE(client.connect(fixture.endpoint(), &error))
-            << error;
-        OpenRequest open{};
-        open.flags = resilient ? kOpenResilient : 0u;
-        uint64_t offset = 0;
-        SessionState state = SessionState::Fresh;
-        EXPECT_TRUE(client.openSession(open, id, offset, state,
-                                       nullptr, &error))
-            << error;
-        EXPECT_EQ(static_cast<uint32_t>(state),
-                  static_cast<uint32_t>(SessionState::Fresh));
-        EXPECT_FALSE(sessionIdIsZero(id));
-        EXPECT_TRUE(client.sendData(bytes.data(), headBytes, &error))
-            << error;
-        // Destructor closes the socket: the server sees EOF with the
-        // upload unfinished and must park, not reject.
-    }
-    EXPECT_TRUE(fixture.waitFor([&](const ServerStats &s) {
-        return s.sessionsParked > parkedBefore;
-    })) << "session was never parked";
-    return id;
-}
-
-/** Reconnect with @p id and finish the upload from the server's
- *  durable offset; returns the push result. */
-PushResult
-resumeAndFinish(ServerFixture &fixture,
-                const std::vector<uint8_t> &bytes, const SessionId &id,
-                bool resilient)
-{
-    Client client;
-    std::string error;
-    PushResult out;
-    if (!client.connect(fixture.endpoint(), &error)) {
-        out.error = error;
-        return out;
-    }
-    OpenRequest open{};
-    open.flags = (resilient ? kOpenResilient : 0u) | kOpenResume;
-    std::memcpy(open.sessionId, id.data(), id.size());
-    open.resumeFrom = kResumeQuery;
-    SessionId echoed{};
-    uint64_t offset = 0;
-    SessionState state = SessionState::Fresh;
-    ErrorCode code = ErrorCode::Internal;
-    if (!client.openSession(open, echoed, offset, state, &code,
-                            &error)) {
-        out.error = error;
-        out.errorCode = code;
-        return out;
-    }
-    EXPECT_EQ(static_cast<uint32_t>(state),
-              static_cast<uint32_t>(SessionState::Resumed));
-    EXPECT_EQ(echoed, id);
-    EXPECT_LE(offset, bytes.size());
-    if (!client.sendData(bytes.data() + offset, bytes.size() - offset,
-                         &error)) {
-        out.error = error;
-        return out;
-    }
-    out = client.finish();
-    out.sessionId = echoed;
-    return out;
 }
 
 } // namespace
 
 TEST(Resume, DroppedUploadParksAndResumesBitIdentically)
 {
-    const auto bytes = readFileBytes(goldenPath(golden::kCaptureFile));
+    const auto bytes = goldenCapture();
     ASSERT_FALSE(bytes.empty());
     const auto expected = loadExpected();
     ASSERT_FALSE(expected.empty());
@@ -310,7 +57,8 @@ TEST(Resume, DroppedUploadParksAndResumesBitIdentically)
     ASSERT_TRUE(result.ok) << result.error;
     EXPECT_EQ(result.report.status, 0u);
     EXPECT_EQ(result.report.totalSamples, golden::kSamples);
-    expectEventsBitExact(expected, result.report.events, "resumed");
+    EXPECT_EQ(golden::eventsDiff(expected, result.report.events), "")
+        << "resumed";
 
     const ServerStats stats = fixture.server().stats();
     EXPECT_EQ(stats.sessionsParked, 1u);
@@ -320,19 +68,15 @@ TEST(Resume, DroppedUploadParksAndResumesBitIdentically)
 
 TEST(Resume, ResilientSessionResumesBitIdentically)
 {
-    const auto bytes = readFileBytes(goldenPath(golden::kCaptureFile));
+    const auto bytes = goldenCapture();
     ASSERT_FALSE(bytes.empty());
 
     ServerFixture fixture;
 
     // Uninterrupted resilient run: the reference this test compares
     // the resumed run against, bit for bit.
-    Client reference;
-    std::string error;
-    ASSERT_TRUE(reference.connect(fixture.endpoint(), &error))
-        << error;
     const PushResult uninterrupted =
-        reference.push(bytes.data(), bytes.size(), true);
+        pushOnce(fixture.endpoint(), bytes, bytes.size(), true);
     ASSERT_TRUE(uninterrupted.ok) << uninterrupted.error;
 
     const SessionId id =
@@ -345,7 +89,7 @@ TEST(Resume, ResilientSessionResumesBitIdentically)
 
 TEST(Resume, EveryDropPointResumesBitIdentically)
 {
-    const auto bytes = readFileBytes(goldenPath(golden::kCaptureFile));
+    const auto bytes = goldenCapture();
     ASSERT_FALSE(bytes.empty());
     const auto expected = loadExpected();
     ASSERT_FALSE(expected.empty());
@@ -362,14 +106,14 @@ TEST(Resume, EveryDropPointResumesBitIdentically)
             resumeAndFinish(fixture, bytes, id, false);
         ASSERT_TRUE(result.ok)
             << "cut=" << cut << ": " << result.error;
-        expectEventsBitExact(expected, result.report.events,
-                             "cut=" + std::to_string(cut));
+        EXPECT_EQ(golden::eventsDiff(expected, result.report.events), "")
+            << "cut=" + std::to_string(cut);
     }
 }
 
 TEST(Resume, WrongOffsetIsRejectedThenCorrectResumeStillWorks)
 {
-    const auto bytes = readFileBytes(goldenPath(golden::kCaptureFile));
+    const auto bytes = goldenCapture();
     ASSERT_FALSE(bytes.empty());
     const auto expected = loadExpected();
 
@@ -405,13 +149,13 @@ TEST(Resume, WrongOffsetIsRejectedThenCorrectResumeStillWorks)
     const PushResult result =
         resumeAndFinish(fixture, bytes, id, false);
     ASSERT_TRUE(result.ok) << result.error;
-    expectEventsBitExact(expected, result.report.events,
-                         "resume-after-bad-offset");
+    EXPECT_EQ(golden::eventsDiff(expected, result.report.events), "")
+        << "resume-after-bad-offset";
 }
 
 TEST(Resume, ResilienceModeMismatchIsBadResume)
 {
-    const auto bytes = readFileBytes(goldenPath(golden::kCaptureFile));
+    const auto bytes = goldenCapture();
     ASSERT_FALSE(bytes.empty());
 
     ServerFixture fixture;
@@ -493,7 +237,7 @@ TEST(Resume, UnknownSessionWithQueryOffsetStartsFresh)
 
 TEST(Resume, SpooledReportSurvivesDaemonRestartBitIdentically)
 {
-    const auto bytes = readFileBytes(goldenPath(golden::kCaptureFile));
+    const auto bytes = goldenCapture();
     ASSERT_FALSE(bytes.empty());
     const auto expected = loadExpected();
     ASSERT_FALSE(expected.empty());
@@ -505,12 +249,7 @@ TEST(Resume, SpooledReportSurvivesDaemonRestartBitIdentically)
         ServerConfig config;
         config.spoolDir = spoolDir;
         ServerFixture fixture(config);
-        Client client;
-        std::string error;
-        ASSERT_TRUE(client.connect(fixture.endpoint(), &error))
-            << error;
-        const PushResult result =
-            client.push(bytes.data(), bytes.size());
+        const PushResult result = pushOnce(fixture.endpoint(), bytes);
         ASSERT_TRUE(result.ok) << result.error;
         original = result.report;
         id = result.sessionId;
@@ -557,7 +296,8 @@ TEST(Resume, SpooledReportSurvivesDaemonRestartBitIdentically)
                                         &error))
             << error;
         expectReportsBitExact(original, served, "spool-replay");
-        expectEventsBitExact(expected, served.events, "spool-replay");
+        EXPECT_EQ(golden::eventsDiff(expected, served.events), "")
+            << "spool-replay";
     }
     EXPECT_EQ(restarted.server().stats().resultsServedFromSpool, 1u);
 
@@ -576,7 +316,7 @@ TEST(Resume, SpooledReportSurvivesDaemonRestartBitIdentically)
 
 TEST(Resume, RestartMidUploadFallsBackToFreshAndStaysBitIdentical)
 {
-    const auto bytes = readFileBytes(goldenPath(golden::kCaptureFile));
+    const auto bytes = goldenCapture();
     ASSERT_FALSE(bytes.empty());
     const auto expected = loadExpected();
 
@@ -614,13 +354,13 @@ TEST(Resume, RestartMidUploadFallsBackToFreshAndStaysBitIdentical)
         << error;
     const PushResult result = client.finish();
     ASSERT_TRUE(result.ok) << result.error;
-    expectEventsBitExact(expected, result.report.events,
-                         "fresh-after-restart");
+    EXPECT_EQ(golden::eventsDiff(expected, result.report.events), "")
+        << "fresh-after-restart";
 }
 
 TEST(Resume, PushResumableRidesThroughInjectedDrop)
 {
-    const auto bytes = readFileBytes(goldenPath(golden::kCaptureFile));
+    const auto bytes = goldenCapture();
     ASSERT_FALSE(bytes.empty());
     const auto expected = loadExpected();
 
@@ -639,8 +379,8 @@ TEST(Resume, PushResumableRidesThroughInjectedDrop)
     ASSERT_TRUE(result.ok) << result.error;
     EXPECT_EQ(result.attempts, 2u);
     EXPECT_FALSE(result.connectionLost);
-    expectEventsBitExact(expected, result.report.events,
-                         "push-resumable");
+    EXPECT_EQ(golden::eventsDiff(expected, result.report.events), "")
+        << "push-resumable";
     EXPECT_EQ(fixture.server().stats().sessionsCompleted, 1u);
 }
 

@@ -40,11 +40,9 @@
 
 #include <gtest/gtest.h>
 
-#include "../e2e/golden_common.hpp"
 #include "dsp/rng.hpp"
-#include "serve/client.hpp"
-#include "serve/server.hpp"
 #include "serve/session_state.hpp"
+#include "serve_support.hpp"
 #include "store/capture_writer.hpp"
 
 using namespace emprof;
@@ -480,11 +478,8 @@ TEST(Resume, ImmediateReconnectResumesTheDrainingSession)
     BigUploadServer fixture;
 
     // The uninterrupted upload's report is the reference.
-    Client reference;
-    std::string error;
-    ASSERT_TRUE(reference.connect(fixture.endpoint(), &error)) << error;
-    const PushResult uninterrupted =
-        reference.push(bytes.data(), bytes.size());
+    const PushResult uninterrupted = support::pushOnce(fixture.endpoint(),
+                                                       bytes);
     ASSERT_TRUE(uninterrupted.ok) << uninterrupted.error;
     ASSERT_GT(uninterrupted.report.events.size(), 100u);
 
@@ -492,6 +487,7 @@ TEST(Resume, ImmediateReconnectResumesTheDrainingSession)
     ::close(queueWholeUpload(fixture, id));
 
     Client client;
+    std::string error;
     ASSERT_TRUE(client.connect(fixture.endpoint(), &error)) << error;
     OpenRequest open{};
     open.flags = kOpenResume;
@@ -516,15 +512,7 @@ TEST(Resume, ImmediateReconnectResumesTheDrainingSession)
     const DecodedReport &got = resumed.report;
     EXPECT_EQ(want.status, got.status);
     EXPECT_EQ(want.totalSamples, got.totalSamples);
-    ASSERT_EQ(want.events.size(), got.events.size());
-    for (std::size_t i = 0; i < want.events.size(); ++i) {
-        EXPECT_EQ(want.events[i].startSample, got.events[i].startSample);
-        EXPECT_EQ(want.events[i].endSample, got.events[i].endSample);
-        EXPECT_EQ(golden::doubleBits(want.events[i].depth),
-                  golden::doubleBits(got.events[i].depth));
-        EXPECT_EQ(golden::doubleBits(want.events[i].stallCycles),
-                  golden::doubleBits(got.events[i].stallCycles));
-    }
+    EXPECT_EQ(golden::eventsDiff(want.events, got.events), "");
     EXPECT_EQ(want.reportText, got.reportText);
 
     // Every park was resumed, and nothing expired or was evicted, so

@@ -11,115 +11,29 @@
  */
 
 #include <cstddef>
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "../e2e/golden_common.hpp"
 #include "../profiler/streaming_oracle.hpp"
 #include "serve/session_pipeline.hpp"
+#include "serve_support.hpp"
 #include "store/crc32c.hpp"
 
 using namespace emprof;
 using namespace emprof::serve;
+using namespace emprof::serve::support;
 
 namespace {
-
-std::string
-goldenPath(const char *name)
-{
-    return std::string(EMPROF_GOLDEN_DIR) + "/" + name;
-}
-
-std::vector<uint8_t>
-readFileBytes(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(f, nullptr) << "missing fixture " << path;
-    std::vector<uint8_t> bytes;
-    if (f == nullptr)
-        return bytes;
-    char buf[4096];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        bytes.insert(bytes.end(), buf, buf + got);
-    std::fclose(f);
-    return bytes;
-}
-
-std::vector<profiler::StallEvent>
-loadExpected()
-{
-    std::FILE *f =
-        std::fopen(goldenPath(golden::kExpectedFile).c_str(), "rb");
-    EXPECT_NE(f, nullptr);
-    std::string text;
-    if (f != nullptr) {
-        char buf[4096];
-        std::size_t got;
-        while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-            text.append(buf, got);
-        std::fclose(f);
-    }
-    std::vector<profiler::StallEvent> events;
-    std::string why;
-    EXPECT_TRUE(golden::eventsFromJson(text, events, &why)) << why;
-    return events;
-}
-
-void
-expectEventsBitExact(const std::vector<profiler::StallEvent> &expected,
-                     const std::vector<profiler::StallEvent> &actual,
-                     const std::string &framing)
-{
-    ASSERT_EQ(expected.size(), actual.size()) << framing;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-        const auto &e = expected[i];
-        const auto &a = actual[i];
-        EXPECT_EQ(e.startSample, a.startSample) << framing << " #" << i;
-        EXPECT_EQ(e.endSample, a.endSample) << framing << " #" << i;
-        EXPECT_EQ(golden::doubleBits(e.depth),
-                  golden::doubleBits(a.depth))
-            << framing << " #" << i;
-        EXPECT_EQ(golden::doubleBits(e.durationNs),
-                  golden::doubleBits(a.durationNs))
-            << framing << " #" << i;
-        EXPECT_EQ(golden::doubleBits(e.stallCycles),
-                  golden::doubleBits(a.stallCycles))
-            << framing << " #" << i;
-        EXPECT_EQ(static_cast<int>(e.kind), static_cast<int>(a.kind))
-            << framing << " #" << i;
-        EXPECT_EQ(static_cast<int>(e.level), static_cast<int>(a.level))
-            << framing << " #" << i;
-        EXPECT_EQ(golden::doubleBits(e.levelConfidence),
-                  golden::doubleBits(a.levelConfidence))
-            << framing << " #" << i;
-    }
-}
-
-/**
- * Base config for the pipeline: the golden analysis config minus the
- * fields the capture header supplies (the pipeline must recover
- * sample rate and clock from the upload itself).
- */
-profiler::EmProfConfig
-baseConfig()
-{
-    profiler::EmProfConfig config = golden::goldenConfig();
-    config.sampleRateHz = 1.0; // must be overwritten by the header
-    config.clockHz = 1.0;      // likewise
-    return config;
-}
 
 /** Feed the capture in @p step -byte slices and finish. */
 profiler::ProfileResult
 runFraming(const std::vector<uint8_t> &bytes, std::size_t step,
            std::size_t spanSamples)
 {
-    SessionPipeline pipeline(baseConfig(), spanSamples);
+    SessionPipeline pipeline(servedConfig(), spanSamples);
     std::string error;
     for (std::size_t off = 0; off < bytes.size();) {
         const std::size_t take = std::min(step, bytes.size() - off);
@@ -195,7 +109,7 @@ TEST(SessionPipeline, HostileChunkHeaderIsRejectedBeforeAllocating)
             << error;
         ASSERT_EQ(out.capacity(), 0u) << "count " << count;
 
-        SessionPipeline pipeline(baseConfig());
+        SessionPipeline pipeline(servedConfig());
         EXPECT_FALSE(pipeline.feed(bytes.data(), bytes.size(), &error));
         EXPECT_NE(error.find("chunk header implausible"),
                   std::string::npos)
@@ -216,10 +130,10 @@ TEST(SessionPipeline, HostileChunkHeaderIsRejectedBeforeAllocating)
 TEST(SessionPipeline, HeaderRecoversCaptureMetadata)
 {
     const auto bytes =
-        readFileBytes(goldenPath(golden::kCaptureFile));
+        goldenCapture();
     ASSERT_FALSE(bytes.empty());
 
-    SessionPipeline pipeline(baseConfig());
+    SessionPipeline pipeline(servedConfig());
     std::string error;
     // Feed just the 72-byte header.
     ASSERT_TRUE(pipeline.feed(bytes.data(), 72, &error)) << error;
@@ -236,7 +150,7 @@ TEST(SessionPipeline, HeaderRecoversCaptureMetadata)
 TEST(SessionPipeline, AllFramingsAreBitIdenticalToTheGoldenEvents)
 {
     const auto bytes =
-        readFileBytes(goldenPath(golden::kCaptureFile));
+        goldenCapture();
     ASSERT_FALSE(bytes.empty());
     const auto expected = loadExpected();
     ASSERT_FALSE(expected.empty());
@@ -260,7 +174,8 @@ TEST(SessionPipeline, AllFramingsAreBitIdenticalToTheGoldenEvents)
     };
     for (const auto &c : cases) {
         const auto result = runFraming(bytes, c.step, c.span);
-        expectEventsBitExact(expected, result.events, c.name);
+        EXPECT_EQ(golden::eventsDiff(expected, result.events), "")
+            << c.name;
         EXPECT_EQ(result.report.totalEvents, expected.size())
             << c.name;
     }
@@ -269,8 +184,8 @@ TEST(SessionPipeline, AllFramingsAreBitIdenticalToTheGoldenEvents)
 TEST(SessionPipeline, TinySpansActuallyAnalyseMidUpload)
 {
     const auto bytes =
-        readFileBytes(goldenPath(golden::kCaptureFile));
-    SessionPipeline pipeline(baseConfig(), /*spanSamples=*/512);
+        goldenCapture();
+    SessionPipeline pipeline(servedConfig(), /*spanSamples=*/512);
     std::string error;
     ASSERT_TRUE(pipeline.feed(bytes.data(), bytes.size(), &error))
         << error;
@@ -287,7 +202,7 @@ TEST(SessionPipeline, TinySpansActuallyAnalyseMidUpload)
 TEST(SessionPipeline, ResilientModeMatchesTheDirectResilientPath)
 {
     const auto bytes =
-        readFileBytes(goldenPath(golden::kCaptureFile));
+        goldenCapture();
 
     profiler::EmProfConfig resilient = golden::goldenConfig();
     resilient.signal.enabled = true;
@@ -307,7 +222,8 @@ TEST(SessionPipeline, ResilientModeMatchesTheDirectResilientPath)
     profiler::ProfileResult served;
     ASSERT_TRUE(pipeline.finish(served, &error)) << error;
 
-    expectEventsBitExact(ref.events, served.events, "resilient");
+    EXPECT_EQ(golden::eventsDiff(ref.events, served.events), "")
+        << "resilient";
     EXPECT_EQ(served.report.quality.enabled, true);
     EXPECT_EQ(golden::doubleBits(
                   served.report.quality.coverageFraction),
@@ -318,11 +234,11 @@ TEST(SessionPipeline, ResilientModeMatchesTheDirectResilientPath)
 TEST(SessionPipeline, TruncatedUploadIsATypedError)
 {
     const auto bytes =
-        readFileBytes(goldenPath(golden::kCaptureFile));
+        goldenCapture();
     for (const std::size_t keep :
          {std::size_t{40}, std::size_t{100}, bytes.size() / 2,
           bytes.size() - 5}) {
-        SessionPipeline pipeline(baseConfig());
+        SessionPipeline pipeline(servedConfig());
         std::string error;
         ASSERT_TRUE(pipeline.feed(bytes.data(), keep, &error))
             << error;
@@ -334,10 +250,10 @@ TEST(SessionPipeline, TruncatedUploadIsATypedError)
 
 TEST(SessionPipeline, FlippedBitInAChunkIsATypedError)
 {
-    auto bytes = readFileBytes(goldenPath(golden::kCaptureFile));
+    auto bytes = goldenCapture();
     bytes[5000] ^= 0x10; // somewhere inside a chunk payload
 
-    SessionPipeline pipeline(baseConfig());
+    SessionPipeline pipeline(servedConfig());
     std::string error;
     profiler::ProfileResult result;
     const bool fed =
@@ -354,7 +270,7 @@ TEST(SessionPipeline, FlippedBitInAChunkIsATypedError)
 TEST(SessionPipeline, GarbageHeaderIsRejectedImmediately)
 {
     std::vector<uint8_t> garbage(256, 0xAB);
-    SessionPipeline pipeline(baseConfig());
+    SessionPipeline pipeline(servedConfig());
     std::string error;
     EXPECT_FALSE(
         pipeline.feed(garbage.data(), garbage.size(), &error));
@@ -364,8 +280,8 @@ TEST(SessionPipeline, GarbageHeaderIsRejectedImmediately)
 TEST(SessionPipeline, FinishTwiceIsAnError)
 {
     const auto bytes =
-        readFileBytes(goldenPath(golden::kCaptureFile));
-    SessionPipeline pipeline(baseConfig());
+        goldenCapture();
+    SessionPipeline pipeline(servedConfig());
     std::string error;
     ASSERT_TRUE(pipeline.feed(bytes.data(), bytes.size(), &error));
     profiler::ProfileResult result;

@@ -7,37 +7,23 @@
  * detection on fetch.
  */
 
-#include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include "serve/spool.hpp"
+#include "serve_support.hpp"
 
 using namespace emprof;
 using namespace emprof::serve;
+using namespace emprof::serve::support;
 
 namespace fs = std::filesystem;
 
 namespace {
-
-std::string
-freshDir(const char *tag)
-{
-    static std::atomic<int> counter{0};
-    std::string dir = testing::TempDir() + "emprof_spool_" +
-                      std::string(tag) + "_" +
-                      std::to_string(::getpid()) + "_" +
-                      std::to_string(counter.fetch_add(1));
-    fs::create_directories(dir);
-    return dir;
-}
 
 SessionId
 makeId(uint8_t seed)
@@ -55,22 +41,6 @@ makePayload(std::size_t bytes, uint8_t seed)
     for (std::size_t i = 0; i < bytes; ++i)
         payload[i] = static_cast<uint8_t>(seed ^ (i * 31 + 7));
     return payload;
-}
-
-std::vector<uint8_t>
-readFileBytes(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(f, nullptr) << path;
-    std::vector<uint8_t> bytes;
-    if (f == nullptr)
-        return bytes;
-    char buf[4096];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        bytes.insert(bytes.end(), buf, buf + got);
-    std::fclose(f);
-    return bytes;
 }
 
 void
@@ -264,6 +234,7 @@ TEST(Spool, ReopenNeverExtendsATornTail)
     // Tear the tail: chop 5 bytes off the only record.
     const std::string segment = onlySegment(options.dir);
     auto bytes = readFileBytes(segment);
+    ASSERT_GT(bytes.size(), 5u);
     bytes.resize(bytes.size() - 5);
     writeFileBytes(segment, bytes);
 
