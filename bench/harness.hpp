@@ -23,6 +23,7 @@
 #include <vector>
 
 #include <sys/resource.h>
+#include <time.h>
 
 #include "common/thread_pool.hpp"
 #include "dsp/rng.hpp"
@@ -133,14 +134,18 @@ quartiles(std::vector<double> values)
 /** What timeRuns() measured. */
 struct Timing
 {
-    Quartiles seconds;
+    Quartiles seconds;        ///< steady clock
+    Quartiles cpuSeconds;     ///< CPU time of the whole process
     double minorFaults = 0.0; ///< median per timed run, whole process
 };
 
 /**
  * Run @p warmUp once untimed, then @p body @p runs (>= 1) times, each
- * timed on the steady clock.  Metrics and tracing are off throughout,
- * so the numbers measure the program, not its instrumentation.
+ * timed on the steady clock and on the process CPU clock.  A run on
+ * the calling thread alone reads about the same on both on a quiet
+ * host; other processes on the host stretch only the steady clock.  Metrics
+ * and tracing are off throughout, so the numbers measure the program,
+ * not its instrumentation.
  */
 template <typename WarmUp, typename Body>
 Timing
@@ -153,17 +158,24 @@ timeRuns(std::size_t runs, WarmUp &&warmUp, Body &&body)
         getrusage(RUSAGE_SELF, &usage);
         return static_cast<double>(usage.ru_minflt);
     };
+    const auto cpuNow = [] {
+        timespec ts{};
+        clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+        return static_cast<double>(ts.tv_sec) + 1e-9 * ts.tv_nsec;
+    };
     warmUp();
-    std::vector<double> seconds, faults;
+    std::vector<double> seconds, cpu, faults;
     for (std::size_t r = 0; r < runs; ++r) {
         const double faults0 = minorFaults();
+        const double cpu0 = cpuNow();
         const auto t0 = std::chrono::steady_clock::now();
         body();
         const auto t1 = std::chrono::steady_clock::now();
+        cpu.push_back(cpuNow() - cpu0);
         faults.push_back(minorFaults() - faults0);
         seconds.push_back(std::chrono::duration<double>(t1 - t0).count());
     }
-    return {quartiles(std::move(seconds)),
+    return {quartiles(std::move(seconds)), quartiles(std::move(cpu)),
             quartiles(std::move(faults)).median};
 }
 

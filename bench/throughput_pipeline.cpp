@@ -21,11 +21,13 @@
  *    of the capture (the copy is inside the timed run).
  *
  * Each row: an untimed warm-up on a capture an eighth the size, N timed
- * runs (median and quartiles).  Each analysis row adds an instrumented
- * pass for its stage breakdown and `chunk_overlap` (harness.hpp), and
- * the rows of one configuration, classic or resilient, must agree on
- * the event count.  The temporary captures (bench_pipeline_*.emcap in
- * the working directory) are deleted before exit.
+ * runs (median and quartiles of `seconds`, the wall clock, and of
+ * `cpu_seconds`, the process CPU clock).  Each analysis row adds an
+ * instrumented pass for its stage breakdown and `chunk_overlap`
+ * (harness.hpp), and the rows of one configuration, classic or
+ * resilient, must agree on the event count.  The temporary captures
+ * (bench_pipeline_*.emcap in the working directory) are deleted before
+ * exit.
  *
  *   throughput_pipeline [--samples N] [--runs N] [--json PATH]
  */
@@ -136,6 +138,7 @@ main(int argc, char **argv)
                            .add("threads", threads)
                            .add("resilient", resilient)
                            .add("seconds", t.seconds)
+                           .add("cpu_seconds", t.cpuSeconds)
                            .add("samples_per_sec", total / t.seconds.median)
                            .add("speedup_vs_streaming", speedup)
                            .add("events", count)
@@ -182,6 +185,7 @@ main(int argc, char **argv)
         rows.push_back(bench::Json()
                            .add("mode", mode)
                            .add("seconds", t.seconds)
+                           .add("cpu_seconds", t.cpuSeconds)
                            .add("samples_per_sec", total / t.seconds.median)
                            .add("minor_faults", t.minorFaults));
     }

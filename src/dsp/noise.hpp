@@ -58,7 +58,6 @@ class AwgnSource
     }
 
     double sigma() const { return sigma_; }
-    void setSigma(double sigma) { sigma_ = sigma; }
 
   private:
     double sigma_;

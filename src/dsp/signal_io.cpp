@@ -153,23 +153,14 @@ loadSignal(const std::string &path, TimeSeries &out, IoError *error)
     return true;
 }
 
-SignalFileType
-sniffSignalFile(const std::string &path)
+bool
+isEmsig(const std::string &path)
 {
-    std::FILE *file = std::fopen(path.c_str(), "rb");
-    if (file == nullptr)
-        return SignalFileType::Unknown;
-    char magic[4] = {};
-    const bool got =
-        std::fread(magic, 1, sizeof(magic), file) == sizeof(magic);
-    std::fclose(file);
-    if (!got)
-        return SignalFileType::Unknown;
-    if (std::memcmp(magic, kMagic, sizeof(kMagic)) == 0)
-        return SignalFileType::Emsig;
-    if (std::memcmp(magic, "EMCP", 4) == 0)
-        return SignalFileType::Emcap;
-    return SignalFileType::Unknown;
+    CheckedFile file;
+    char magic[sizeof(kMagic)] = {};
+    return file.open(path, CheckedFile::Mode::Read) &&
+           file.preadAt(0, magic, sizeof(magic), "magic", nullptr) &&
+           std::memcmp(magic, kMagic, sizeof(magic)) == 0;
 }
 
 bool

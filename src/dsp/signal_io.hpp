@@ -34,19 +34,13 @@ enum class SignalKind : uint32_t
     Iq = 2,        ///< interleaved I/Q float pairs
 };
 
-/** What the first bytes of a signal file claim it is. */
-enum class SignalFileType
-{
-    Unknown, ///< no recognised magic (possibly a headerless raw dump)
-    Emsig,   ///< legacy .emsig container ("EMSG")
-    Emcap,   ///< chunked EMCAP container ("EMCP", see src/store/)
-};
-
 /**
- * Probe a file's magic bytes.  Lets tools route a capture to the right
- * loader instead of silently misreading one format as another.
+ * Cheap magic probe: does @p path start with the .emsig magic
+ * ("EMSG")?  With store::CaptureReader::isEmcap it lets tools route a
+ * capture to the right loader instead of silently misreading one
+ * format as another.
  */
-SignalFileType sniffSignalFile(const std::string &path);
+bool isEmsig(const std::string &path);
 
 /**
  * Write a real series as an .emsig file (fsynced before close).

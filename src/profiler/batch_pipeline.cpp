@@ -1,14 +1,13 @@
 /**
  * @file
  * Streaming reference implementation of the per-chunk analysis plus
- * the runtime dispatch to the AVX2 batch kernel.
+ * the choice of the AVX2 batch kernel.
  */
 
 #include "profiler/batch_pipeline.hpp"
 
 #include <algorithm>
 
-#include "dsp/batch_minmax.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stage_profiler.hpp"
 #include "profiler/normalizer.hpp"
@@ -19,7 +18,8 @@ bool
 batchPipelineActive()
 {
 #if !defined(EMPROF_DISABLE_SIMD)
-    return dsp::activeSimdVariant() == dsp::SimdVariant::Avx2;
+    static const bool active = __builtin_cpu_supports("avx2") != 0;
+    return active;
 #else
     return false;
 #endif

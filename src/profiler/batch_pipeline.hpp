@@ -37,9 +37,8 @@
  * of samples is a single envelope block either way, so the sizing does
  * not change any output.
  *
- * analyzeChunkAuto dispatches: AVX2 kernel when compiled in, the CPU
- * has AVX2 and EMPROF_SIMD does not force "scalar"; the streaming
- * reference otherwise.
+ * analyzeChunkAuto runs the AVX2 kernel when it is compiled in and the
+ * CPU has AVX2, the streaming reference otherwise.
  */
 
 #ifndef EMPROF_PROFILER_BATCH_PIPELINE_HPP
@@ -73,7 +72,8 @@ struct ChunkResult
     DipDetector::DipState open;      // dip still open at chunk end
 };
 
-/** True when analyzeChunkAuto will run the AVX2 batch kernel. */
+/** True when analyzeChunkAuto will run the AVX2 batch kernel: built
+ *  without EMPROF_DISABLE_SIMD on a CPU with AVX2.  Decided once. */
 bool batchPipelineActive();
 
 /**
@@ -100,7 +100,7 @@ ChunkResult analyzeChunkStreaming(const dsp::Sample *data,
 
 #if !defined(EMPROF_DISABLE_SIMD)
 /** The AVX2 kernel (batch_pipeline_avx2.cpp; call only when
- *  dsp::avx2Available()).  Exposed for the parity tests. */
+ *  batchPipelineActive()).  Exposed for the parity tests. */
 ChunkResult analyzeChunkBatchAvx2(const dsp::Sample *data,
                                   uint64_t dataBegin, uint64_t begin,
                                   uint64_t end, bool is_final,

@@ -69,12 +69,6 @@ class ChunkStitcher
     /** Events completed so far (classified, pre-quality-pass). */
     const std::vector<StallEvent> &events() const { return events_; }
 
-    /** Samples of chunk prefixes replayed into carried dips so far. */
-    uint64_t replayedSamples() const { return replayedSamples_; }
-
-    /** Dips carried open across a chunk boundary so far. */
-    uint64_t carriedDips() const { return carriedDips_; }
-
   private:
     /** Close the carried dip; true when it was long enough to keep. */
     bool emitCarry();

@@ -209,40 +209,23 @@ runHostileSession(const Endpoint &endpoint, const uint8_t *capture,
         out.message = error;
         return out;
     }
-    const int fd = client.releaseFd();
-
-    // Open by hand so a typed rejection (RetryAfter at a watermark)
-    // is captured with its hint rather than flattened by the client.
     OpenRequest req{};
     req.flags = options.resilient ? kOpenResilient : 0;
-    if (!writeFrame(fd, FrameType::Open, &req, sizeof(req))) {
-        out.connectionDied = true;
-        closeHostile(fd, options.resetOnExit);
-        return out;
-    }
-    Frame reply;
-    if (!readFrame(fd, reply)) {
-        out.connectionDied = true;
-        closeHostile(fd, options.resetOnExit);
-        return out;
-    }
-    if (reply.type == FrameType::Error) {
-        out.typedError = true;
-        decodeErrorPayload(reply.payload, out.code, out.message,
-                           &out.retryAfterMs);
-        closeHostile(fd, options.resetOnExit);
-        return out;
-    }
-    if (reply.type != FrameType::OpenAck) {
-        out.connectionDied = true;
-        closeHostile(fd, options.resetOnExit);
-        return out;
-    }
     uint64_t resume_offset = 0;
     SessionState ack_state = SessionState::Fresh;
-    if (!decodeOpenAckPayload(reply.payload, out.id, resume_offset,
-                              ack_state)) {
-        out.connectionDied = true;
+    // openSession writes the code only when an Error frame (RetryAfter
+    // at a watermark, with its hint) answers the Open.
+    constexpr auto kNoCode = static_cast<ErrorCode>(0);
+    ErrorCode code = kNoCode;
+    const bool opened =
+        client.openSession(req, out.id, resume_offset, ack_state, &code,
+                           &out.message, nullptr, &out.retryAfterMs);
+    const int fd = client.releaseFd();
+    if (!opened) {
+        out.typedError = code != kNoCode;
+        out.connectionDied = !out.typedError;
+        if (out.typedError)
+            out.code = code;
         closeHostile(fd, options.resetOnExit);
         return out;
     }

@@ -199,7 +199,6 @@ class GroundTruth
     onHitStallCycle(Cycle cycle, uint8_t phase)
     {
         ++otherStallCycles_;
-        ++hitStallCycles_;
         if (hitOpen_ && cycle == currentHit_.end + 1) {
             currentHit_.end = cycle;
         } else {
@@ -245,18 +244,6 @@ class GroundTruth
     {
         return intervals_;
     }
-
-    /** Coalesced LLC-hit wait intervals (level LlcHit), kept apart
-     *  from the paper's miss ground truth above. */
-    const std::vector<StallInterval> &
-    hitStallIntervals() const
-    {
-        return hitIntervals_;
-    }
-
-    /** Fully-stalled cycles spent waiting on LLC hits (a subset of
-     *  otherStallCycles()). */
-    uint64_t hitStallCycles() const { return hitStallCycles_; }
 
     /**
      * All stall intervals — miss-induced and LLC-hit waits — merged
@@ -331,7 +318,6 @@ class GroundTruth
     uint64_t refreshDelayedMisses_ = 0;
     uint64_t missStallCycles_ = 0;
     uint64_t otherStallCycles_ = 0;
-    uint64_t hitStallCycles_ = 0;
     std::vector<StallInterval> intervals_;
     std::vector<StallInterval> hitIntervals_;
     std::vector<RawMissEvent> rawEvents_;

@@ -35,13 +35,6 @@ struct ActivityCounters
     uint32_t llcAccesses = 0;
 
     void reset() { *this = ActivityCounters{}; }
-
-    uint32_t
-    issuedTotal() const
-    {
-        return issuedAlu + issuedMul + issuedDiv + issuedFp + issuedLoad +
-               issuedStore + issuedBranch;
-    }
 };
 
 /**
@@ -54,9 +47,6 @@ class PowerModel
 
     /** Power for one cycle of the given activity (arbitrary units). */
     double sample(const ActivityCounters &activity);
-
-    /** Power of a fully-stalled cycle (static + background only). */
-    double stalledLevel() const { return config_.staticPower; }
 
     const PowerConfig &config() const { return config_; }
 

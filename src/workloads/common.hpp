@@ -48,17 +48,6 @@ class SegmentedWorkload : public sim::ChunkedTraceSource
         segments_.push_back({std::move(name), iterations, std::move(body)});
     }
 
-    /** Names of all segments, in execution order. */
-    std::vector<std::string>
-    segmentNames() const
-    {
-        std::vector<std::string> names;
-        names.reserve(segments_.size());
-        for (const auto &segment : segments_)
-            names.push_back(segment.name);
-        return names;
-    }
-
   protected:
     void
     refill(std::vector<MicroOp> &out) override

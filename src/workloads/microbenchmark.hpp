@@ -74,8 +74,6 @@ class Microbenchmark : public SegmentedWorkload
     /** The engineered LLC miss count of the measured section (== TM). */
     uint64_t expectedMisses() const { return config_.totalMisses; }
 
-    const MicrobenchmarkConfig &benchConfig() const { return config_; }
-
   private:
     MicrobenchmarkConfig config_;
 

@@ -4,11 +4,12 @@
  *
  * The generator (golden_gen.cpp), the regression test
  * (test_golden_pipeline.cpp) and the served-path suites include this
- * header, so the signal, the analysis configuration, the
- * expected-events file format and the event comparator are defined
- * exactly once.  The fixture is checked in; the generator
- * exists to (re)create it deliberately when the pipeline's *intended*
- * output changes — never as part of the build.
+ * header, so the signal, the analysis configuration and the
+ * expected-events file format are defined exactly once; events are
+ * compared with parity::eventsDiff (tests/parity.hpp).  The fixture
+ * is checked in; the generator exists to (re)create it deliberately
+ * when the pipeline's *intended* output changes — never as part of
+ * the build.
  *
  * Doubles are serialised as the hex of their IEEE-754 bit pattern, so
  * the comparison in the test is bit-exact: a change of a single ULP in
@@ -30,6 +31,8 @@
 #include "profiler/events.hpp"
 #include "profiler/profiler.hpp"
 #include "store/capture_writer.hpp"
+
+#include "../parity.hpp"
 
 namespace emprof::golden {
 
@@ -134,60 +137,6 @@ bitsToDouble(uint64_t bits)
 }
 
 /**
- * The comparator every parity test uses: empty when @p actual matches
- * @p expected event for event in all nine StallEvent fields, each
- * compared by bit pattern; otherwise the first difference, naming the
- * event and the field (values in hex).  The fixture file does not
- * record `confidence`, so events parsed from it carry the classic
- * value, 1.0.
- */
-inline std::string
-eventsDiff(const std::vector<profiler::StallEvent> &expected,
-           const std::vector<profiler::StallEvent> &actual)
-{
-    if (expected.size() != actual.size())
-        return std::to_string(actual.size()) + " events, expected " +
-               std::to_string(expected.size());
-    const auto bits = [](double v) {
-        uint64_t b;
-        std::memcpy(&b, &v, sizeof(b));
-        return b;
-    };
-    const auto hex = [](uint64_t v) {
-        char buf[20];
-        std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-        return std::string(buf);
-    };
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-        const profiler::StallEvent &e = expected[i];
-        const profiler::StallEvent &a = actual[i];
-        const struct
-        {
-            const char *name;
-            uint64_t want, got;
-        } fields[] = {
-            {"startSample", e.startSample, a.startSample},
-            {"endSample", e.endSample, a.endSample},
-            {"depth", bits(e.depth), bits(a.depth)},
-            {"durationNs", bits(e.durationNs), bits(a.durationNs)},
-            {"stallCycles", bits(e.stallCycles), bits(a.stallCycles)},
-            {"confidence", bits(e.confidence), bits(a.confidence)},
-            {"kind", static_cast<uint64_t>(e.kind),
-             static_cast<uint64_t>(a.kind)},
-            {"level", static_cast<uint64_t>(e.level),
-             static_cast<uint64_t>(a.level)},
-            {"levelConfidence", bits(e.levelConfidence),
-             bits(a.levelConfidence)},
-        };
-        for (const auto &f : fields)
-            if (f.want != f.got)
-                return "event " + std::to_string(i) + " " + f.name +
-                       ": expected " + hex(f.want) + ", got " + hex(f.got);
-    }
-    return "";
-}
-
-/**
  * Render events as JSON: valid JSON for external tooling, and
  * line-per-event so the test can parse it back with sscanf alone.
  */
@@ -225,7 +174,8 @@ eventsToJson(const std::vector<profiler::StallEvent> &events)
 /**
  * Parse the eventsToJson format.  Returns false (with a reason) on any
  * structural mismatch, including a count that disagrees with the
- * number of event lines.
+ * number of event lines.  The format does not record `confidence`, so
+ * parsed events carry the classic value, 1.0.
  */
 inline bool
 eventsFromJson(const std::string &text,

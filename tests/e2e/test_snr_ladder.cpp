@@ -32,6 +32,7 @@
 #include "profiler/parallel_analyzer.hpp"
 #include "profiler/profiler.hpp"
 #include "profiler/signal_quality.hpp"
+#include "../parity.hpp"
 #include "../profiler/streaming_oracle.hpp"
 #include "golden_common.hpp"
 
@@ -147,22 +148,6 @@ expectNoEventInUnusableBlocks(const std::vector<StallEvent> &events,
         }
 }
 
-void
-expectSameEvents(const std::vector<StallEvent> &a,
-                 const std::vector<StallEvent> &b, double snr_db)
-{
-    ASSERT_EQ(a.size(), b.size()) << "at " << snr_db << " dB";
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].startSample, b[i].startSample) << snr_db << " dB";
-        EXPECT_EQ(a[i].endSample, b[i].endSample) << snr_db << " dB";
-        EXPECT_EQ(a[i].depth, b[i].depth) << snr_db << " dB";
-        EXPECT_EQ(a[i].durationNs, b[i].durationNs) << snr_db << " dB";
-        EXPECT_EQ(a[i].stallCycles, b[i].stallCycles) << snr_db << " dB";
-        EXPECT_EQ(a[i].confidence, b[i].confidence) << snr_db << " dB";
-        EXPECT_EQ(a[i].kind, b[i].kind) << snr_db << " dB";
-    }
-}
-
 TEST(SnrLadder, RecallDegradesGracefullyAndBeatsNaiveThreshold)
 {
     const auto truth = truthSpans();
@@ -204,7 +189,8 @@ TEST(SnrLadder, RecallDegradesGracefullyAndBeatsNaiveThreshold)
         pcfg.threads = 8;
         pcfg.chunkSamples = 1024;
         const auto parallel = analyzeParallel(series, config, pcfg);
-        expectSameEvents(streaming.events, parallel.events, snr_db);
+        EXPECT_EQ(parity::eventsDiff(streaming.events, parallel.events), "")
+            << "at " << snr_db << " dB";
 
         // Quarantine guarantee, checked against an independent
         // recomputation of the block classification.

@@ -8,11 +8,10 @@
  * chunk geometries (no halo, partial halo, full halo, unaligned
  * lengths), and both analysis paths (classic and resilient).
  *
- * The AVX2-specific tests skip on hardware without AVX2 or when
- * EMPROF_SIMD=scalar / EMPROF_DISABLE_SIMD disables the kernel; the
- * end-to-end equivalence tests run everywhere (they then exercise the
- * scalar span reference against the per-sample oracle, which must also
- * hold).
+ * The AVX2-specific tests skip on hardware without AVX2 and in
+ * EMPROF_DISABLE_SIMD builds; the end-to-end equivalence tests run
+ * everywhere (they then exercise the scalar span reference against the
+ * per-sample oracle, which must also hold).
  */
 
 #include <cmath>
@@ -23,24 +22,14 @@
 
 #include <gtest/gtest.h>
 
-#include "dsp/batch_minmax.hpp"
 #include "profiler/batch_pipeline.hpp"
 #include "profiler/parallel_analyzer.hpp"
 #include "profiler/profiler.hpp"
 #include "streaming_oracle.hpp"
+#include "../parity.hpp"
 
 namespace emprof::profiler {
 namespace {
-
-bool
-batchKernelAvailable()
-{
-#if defined(EMPROF_DISABLE_SIMD)
-    return false;
-#else
-    return batchPipelineActive();
-#endif
-}
 
 /** Config with an exact normalisation window of @p w samples. */
 EmProfConfig
@@ -108,20 +97,16 @@ makeDenormalSignal(std::size_t n, uint32_t seed)
 void
 expectClassifiedAtEmission(const ChunkResult &r, const EmProfConfig &config)
 {
-    for (std::size_t i = 0; i < r.events.size(); ++i) {
-        const StallEvent &ev = r.events[i];
+    std::vector<StallEvent> reclassified;
+    for (const StallEvent &ev : r.events) {
         StallEvent raw;
         raw.startSample = ev.startSample;
         raw.endSample = ev.endSample;
         raw.depth = ev.depth;
         classifyStall(raw, config);
-        EXPECT_EQ(ev.durationNs, raw.durationNs) << "event " << i;
-        EXPECT_EQ(ev.stallCycles, raw.stallCycles) << "event " << i;
-        EXPECT_EQ(ev.kind, raw.kind) << "event " << i;
-        EXPECT_EQ(ev.level, raw.level) << "event " << i;
-        EXPECT_EQ(ev.levelConfidence, raw.levelConfidence)
-            << "event " << i;
+        reclassified.push_back(raw);
     }
+    EXPECT_EQ(parity::eventsDiff(reclassified, r.events), "");
 }
 
 void
@@ -132,34 +117,20 @@ expectSameResult(const ChunkResult &a, const ChunkResult &b,
     EXPECT_EQ(a.begin, b.begin);
     EXPECT_EQ(a.end, b.end);
 
+    using parity::bits;
     ASSERT_EQ(a.prefixNorms.size(), b.prefixNorms.size());
     for (std::size_t i = 0; i < a.prefixNorms.size(); ++i)
-        EXPECT_EQ(a.prefixNorms[i], b.prefixNorms[i]) << "prefix " << i;
+        EXPECT_EQ(bits(a.prefixNorms[i]), bits(b.prefixNorms[i]))
+            << "prefix " << i;
 
-    ASSERT_EQ(a.events.size(), b.events.size());
-    for (std::size_t i = 0; i < a.events.size(); ++i) {
-        EXPECT_EQ(a.events[i].startSample, b.events[i].startSample)
-            << "event " << i;
-        EXPECT_EQ(a.events[i].endSample, b.events[i].endSample)
-            << "event " << i;
-        EXPECT_EQ(a.events[i].depth, b.events[i].depth) << "event " << i;
-        EXPECT_EQ(a.events[i].durationNs, b.events[i].durationNs)
-            << "event " << i;
-        EXPECT_EQ(a.events[i].stallCycles, b.events[i].stallCycles)
-            << "event " << i;
-        EXPECT_EQ(a.events[i].kind, b.events[i].kind) << "event " << i;
-        EXPECT_EQ(a.events[i].level, b.events[i].level) << "event " << i;
-        EXPECT_EQ(a.events[i].levelConfidence,
-                  b.events[i].levelConfidence)
-            << "event " << i;
-    }
+    EXPECT_EQ(parity::eventsDiff(a.events, b.events), "");
     expectClassifiedAtEmission(a, config);
     expectClassifiedAtEmission(b, config);
 
     EXPECT_EQ(a.open.inDip, b.open.inDip);
     EXPECT_EQ(a.open.start, b.open.start);
     EXPECT_EQ(a.open.lastBelowExit, b.open.lastBelowExit);
-    EXPECT_EQ(a.open.depthSum, b.open.depthSum);
+    EXPECT_EQ(bits(a.open.depthSum), bits(b.open.depthSum));
     EXPECT_EQ(a.open.depthCount, b.open.depthCount);
 
     ASSERT_EQ(a.blocks.size(), b.blocks.size());
@@ -171,11 +142,12 @@ expectSameResult(const ChunkResult &a, const ChunkResult &b,
         EXPECT_EQ(ba.samplesAtMax, bb.samplesAtMax) << "block " << i;
         EXPECT_EQ(ba.zeroSamples, bb.zeroSamples) << "block " << i;
         EXPECT_EQ(ba.repeatSamples, bb.repeatSamples) << "block " << i;
-        EXPECT_EQ(ba.minValue, bb.minValue) << "block " << i;
-        EXPECT_EQ(ba.maxValue, bb.maxValue) << "block " << i;
-        EXPECT_EQ(ba.mean, bb.mean) << "block " << i;
-        EXPECT_EQ(ba.noiseSigma, bb.noiseSigma) << "block " << i;
-        EXPECT_EQ(ba.snrDb, bb.snrDb) << "block " << i;
+        EXPECT_EQ(bits(ba.minValue), bits(bb.minValue)) << "block " << i;
+        EXPECT_EQ(bits(ba.maxValue), bits(bb.maxValue)) << "block " << i;
+        EXPECT_EQ(bits(ba.mean), bits(bb.mean)) << "block " << i;
+        EXPECT_EQ(bits(ba.noiseSigma), bits(bb.noiseSigma))
+            << "block " << i;
+        EXPECT_EQ(bits(ba.snrDb), bits(bb.snrDb)) << "block " << i;
         EXPECT_EQ(ba.cls, bb.cls) << "block " << i;
     }
 }
@@ -211,7 +183,7 @@ compareShortSeries(const std::vector<dsp::Sample> &x,
 
 TEST(BatchPipeline, ClassicChunkBitParityAcrossWindows)
 {
-    if (!batchKernelAvailable())
+    if (!batchPipelineActive())
         GTEST_SKIP() << "AVX2 batch kernel not active";
 
     const auto x = makeSignal(6000, 0xca97);
@@ -248,7 +220,7 @@ TEST(BatchPipeline, ClassicChunkBitParityAcrossWindows)
 
 TEST(BatchPipeline, ResilientChunkBitParity)
 {
-    if (!batchKernelAvailable())
+    if (!batchPipelineActive())
         GTEST_SKIP() << "AVX2 batch kernel not active";
 
     const auto x = makeSignal(6000, 0x5eed);
@@ -288,7 +260,7 @@ TEST(BatchPipeline, ResilientChunkBitParity)
 
 TEST(BatchPipeline, ResilientSmootherWiderThanFirstBlock)
 {
-    if (!batchKernelAvailable())
+    if (!batchPipelineActive())
         GTEST_SKIP() << "AVX2 batch kernel not active";
 
     // Window smaller than the smoother: the warm-up ramp of growing
@@ -303,7 +275,7 @@ TEST(BatchPipeline, ResilientSmootherWiderThanFirstBlock)
 
 TEST(BatchPipeline, ConstantAndZeroSignals)
 {
-    if (!batchKernelAvailable())
+    if (!batchPipelineActive())
         GTEST_SKIP() << "AVX2 batch kernel not active";
 
     for (float level : {0.0f, 1.0f}) {
@@ -320,7 +292,7 @@ TEST(BatchPipeline, ConstantAndZeroSignals)
 
 TEST(BatchPipeline, AutoDispatchMatchesExplicitKernel)
 {
-    if (!batchKernelAvailable())
+    if (!batchPipelineActive())
         GTEST_SKIP() << "AVX2 batch kernel not active";
 
     const auto x = makeSignal(4000, 0xd15b);
@@ -369,16 +341,8 @@ TEST(BatchPipeline, ParallelMatchesStreamingEndToEnd)
         const ProfileResult par =
             analyzeParallel(series, config, pcfg);
 
-        ASSERT_EQ(ref.events.size(), par.events.size())
+        EXPECT_EQ(parity::eventsDiff(ref.events, par.events), "")
             << (resilient ? "resilient" : "classic");
-        for (std::size_t i = 0; i < ref.events.size(); ++i) {
-            EXPECT_EQ(ref.events[i].startSample,
-                      par.events[i].startSample);
-            EXPECT_EQ(ref.events[i].endSample, par.events[i].endSample);
-            EXPECT_EQ(ref.events[i].depth, par.events[i].depth);
-            EXPECT_EQ(ref.events[i].confidence,
-                      par.events[i].confidence);
-        }
         EXPECT_EQ(ref.report.totalStallCycles,
                   par.report.totalStallCycles);
     }

@@ -16,6 +16,7 @@
 #include "profiler/parallel_analyzer.hpp"
 #include "profiler/profiler.hpp"
 #include "streaming_oracle.hpp"
+#include "../parity.hpp"
 
 namespace emprof::profiler {
 namespace {
@@ -59,17 +60,7 @@ void
 expectIdentical(const ProfileResult &parallel,
                 const ProfileResult &streaming)
 {
-    ASSERT_EQ(parallel.events.size(), streaming.events.size());
-    for (std::size_t i = 0; i < streaming.events.size(); ++i) {
-        const auto &p = parallel.events[i];
-        const auto &s = streaming.events[i];
-        EXPECT_EQ(p.startSample, s.startSample) << "event " << i;
-        EXPECT_EQ(p.endSample, s.endSample) << "event " << i;
-        EXPECT_EQ(p.depth, s.depth) << "event " << i;
-        EXPECT_EQ(p.durationNs, s.durationNs) << "event " << i;
-        EXPECT_EQ(p.stallCycles, s.stallCycles) << "event " << i;
-        EXPECT_EQ(p.kind, s.kind) << "event " << i;
-    }
+    EXPECT_EQ(parity::eventsDiff(streaming.events, parallel.events), "");
     EXPECT_EQ(parallel.report.totalEvents, streaming.report.totalEvents);
 }
 

@@ -9,6 +9,7 @@
 #include "dsp/rng.hpp"
 #include "profiler/profiler.hpp"
 #include "streaming_oracle.hpp"
+#include "../parity.hpp"
 
 namespace emprof::profiler {
 namespace {
@@ -105,13 +106,7 @@ TEST(EmProf, StreamingMatchesBatch)
         streaming.push(x);
     const auto stream_result = streaming.finish();
 
-    ASSERT_EQ(batch.events.size(), stream_result.events.size());
-    for (std::size_t i = 0; i < batch.events.size(); ++i) {
-        EXPECT_EQ(batch.events[i].startSample,
-                  stream_result.events[i].startSample);
-        EXPECT_EQ(batch.events[i].endSample,
-                  stream_result.events[i].endSample);
-    }
+    EXPECT_EQ(parity::eventsDiff(stream_result.events, batch.events), "");
 }
 
 TEST(EmProf, AnalyzeUsesSeriesSampleRate)

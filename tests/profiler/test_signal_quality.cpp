@@ -17,6 +17,7 @@
 #include "profiler/profiler.hpp"
 #include "profiler/signal_quality.hpp"
 #include "streaming_oracle.hpp"
+#include "../parity.hpp"
 
 namespace emprof::profiler {
 namespace {
@@ -292,22 +293,6 @@ TEST(EmProfConfigDerived, ResilienceRelaxesDetectorDuration)
 
 // --- end-to-end resilience -----------------------------------------
 
-void
-expectSameEvents(const std::vector<StallEvent> &a,
-                 const std::vector<StallEvent> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].startSample, b[i].startSample) << i;
-        EXPECT_EQ(a[i].endSample, b[i].endSample) << i;
-        EXPECT_EQ(a[i].depth, b[i].depth) << i;
-        EXPECT_EQ(a[i].durationNs, b[i].durationNs) << i;
-        EXPECT_EQ(a[i].stallCycles, b[i].stallCycles) << i;
-        EXPECT_EQ(a[i].confidence, b[i].confidence) << i;
-        EXPECT_EQ(a[i].kind, b[i].kind) << i;
-    }
-}
-
 TEST(ResilientParallel, BitIdenticalToResilientStreaming)
 {
     auto series = dipSignal(32768, 400, 8, 0.1f);
@@ -327,7 +312,8 @@ TEST(ResilientParallel, BitIdenticalToResilientStreaming)
             pcfg.chunkSamples = chunk;
             const auto parallel =
                 analyzeParallel(series, config, pcfg);
-            expectSameEvents(streaming.events, parallel.events);
+            EXPECT_EQ(parity::eventsDiff(streaming.events, parallel.events),
+                      "");
             EXPECT_EQ(streaming.report.quality.totalBlocks,
                       parallel.report.quality.totalBlocks);
             EXPECT_EQ(streaming.report.quality.unusableBlocks,

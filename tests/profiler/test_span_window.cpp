@@ -19,6 +19,7 @@
 #include "profiler/span_window.hpp"
 #include "profiler/stitch.hpp"
 #include "streaming_oracle.hpp"
+#include "../parity.hpp"
 
 namespace emprof::profiler {
 namespace {
@@ -88,15 +89,7 @@ runWindow(const dsp::TimeSeries &sig, const EmProfConfig &config,
 void
 expectSame(const ProfileResult &a, const ProfileResult &b)
 {
-    ASSERT_EQ(a.events.size(), b.events.size());
-    for (std::size_t i = 0; i < a.events.size(); ++i) {
-        EXPECT_EQ(a.events[i].startSample, b.events[i].startSample) << i;
-        EXPECT_EQ(a.events[i].endSample, b.events[i].endSample) << i;
-        EXPECT_EQ(a.events[i].depth, b.events[i].depth) << i;
-        EXPECT_EQ(a.events[i].stallCycles, b.events[i].stallCycles) << i;
-        EXPECT_EQ(a.events[i].confidence, b.events[i].confidence) << i;
-        EXPECT_EQ(a.events[i].level, b.events[i].level) << i;
-    }
+    EXPECT_EQ(parity::eventsDiff(b.events, a.events), "");
     EXPECT_EQ(a.report.toText(), b.report.toText());
 }
 

@@ -15,6 +15,7 @@
 #include "profiler/naive_threshold.hpp"
 #include "profiler/profiler.hpp"
 #include "streaming_oracle.hpp"
+#include "../parity.hpp"
 
 namespace emprof::profiler {
 namespace {
@@ -67,14 +68,7 @@ TEST(Streaming, ChunkedDeliveryMatchesWholeSignal)
     }
     const auto chunked = prof.finish();
 
-    ASSERT_EQ(chunked.events.size(), whole.events.size());
-    for (std::size_t i = 0; i < whole.events.size(); ++i) {
-        EXPECT_EQ(chunked.events[i].startSample,
-                  whole.events[i].startSample);
-        EXPECT_EQ(chunked.events[i].endSample,
-                  whole.events[i].endSample);
-        EXPECT_EQ(chunked.events[i].depth, whole.events[i].depth);
-    }
+    EXPECT_EQ(parity::eventsDiff(whole.events, chunked.events), "");
     EXPECT_EQ(chunked.report.toText(), whole.report.toText());
 }
 

@@ -129,12 +129,14 @@ class ServerFixture
 
     Server &server() { return *server_; }
 
-    /** Poll stats() until @p done says stop or ~5 s elapse. */
+    /** Poll stats() until @p done says stop or about @p timeout
+     *  elapses. */
     template <typename Pred>
     bool
-    waitFor(Pred done) const
+    waitFor(Pred done,
+            std::chrono::milliseconds timeout = std::chrono::seconds(5)) const
     {
-        for (int i = 0; i < 5000; ++i) {
+        for (auto i = timeout.count(); i > 0; --i) {
             if (done(server_->stats()))
                 return true;
             std::this_thread::sleep_for(std::chrono::milliseconds(1));

@@ -30,6 +30,8 @@
 #include "store/capture_reader.hpp"
 #include "store/capture_writer.hpp"
 
+#include "../parity.hpp"
+
 using namespace emprof;
 
 namespace {
@@ -123,14 +125,7 @@ TEST(DeclaredRate, ShortUploadAtHugeRateStaysSmallServedAndOffline)
             if (!resilient) {
                 ASSERT_EQ(served.events.size(), 1u);
             }
-            ASSERT_EQ(offline.events.size(), served.events.size());
-            for (std::size_t i = 0; i < served.events.size(); ++i) {
-                EXPECT_EQ(offline.events[i].startSample,
-                          served.events[i].startSample);
-                EXPECT_EQ(offline.events[i].endSample,
-                          served.events[i].endSample);
-                EXPECT_EQ(offline.events[i].depth, served.events[i].depth);
-            }
+            EXPECT_EQ(parity::eventsDiff(offline.events, served.events), "");
             EXPECT_EQ(offline.report.toText(), served.report.toText());
         }
     }

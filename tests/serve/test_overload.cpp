@@ -187,7 +187,7 @@ TEST(Overload, IdleStallIsShedTypedAndResumesBitIdentically)
     const PushResult result =
         resumeAndFinish(fixture, bytes, outcome.id, false);
     ASSERT_TRUE(result.ok) << result.error;
-    EXPECT_EQ(golden::eventsDiff(expected, result.report.events), "")
+    EXPECT_EQ(parity::eventsDiff(expected, result.report.events), "")
         << "resume-after-idle-shed";
 }
 
@@ -349,7 +349,7 @@ TEST(Overload, PushResumableHonorsTheRetryAfterHint)
     ASSERT_TRUE(result.ok) << result.error;
     EXPECT_GE(result.attempts, 2u)
         << "the first attempt should have been told RetryAfter";
-    EXPECT_EQ(golden::eventsDiff(expected, result.report.events), "")
+    EXPECT_EQ(parity::eventsDiff(expected, result.report.events), "")
         << "push-through-retry-after";
 }
 
@@ -408,7 +408,7 @@ TEST(Overload, HardWatermarkShedsTheMostStalledSessionFirst)
     ASSERT_TRUE(resultB.ok)
         << "the well-behaved session must be untouched: "
         << resultB.error;
-    EXPECT_EQ(golden::eventsDiff(expected, resultB.report.events), "")
+    EXPECT_EQ(parity::eventsDiff(expected, resultB.report.events), "")
         << "survivor-of-hard-shed";
     EXPECT_GE(fixture.server().stats().sessionsShed, 1u);
 }
@@ -504,7 +504,7 @@ TEST(Overload, ExpiredParkTtlRaceLosesToTheClockAndStartsFresh)
         << error;
     const PushResult result = client.finish();
     ASSERT_TRUE(result.ok) << result.error;
-    EXPECT_EQ(golden::eventsDiff(expected, result.report.events), "")
+    EXPECT_EQ(parity::eventsDiff(expected, result.report.events), "")
         << "fresh-after-ttl-expiry";
 }
 
@@ -530,7 +530,7 @@ TEST(Overload, MaxParkedChurnEvictsTheOldestPark)
     const PushResult resumed =
         resumeAndFinish(fixture, bytes, second, false);
     ASSERT_TRUE(resumed.ok) << resumed.error;
-    EXPECT_EQ(golden::eventsDiff(expected, resumed.report.events), "")
+    EXPECT_EQ(parity::eventsDiff(expected, resumed.report.events), "")
         << "survivor-of-park-eviction";
 
     // ...then the evicted (older) session is answered Fresh-from-zero.
@@ -576,7 +576,7 @@ TEST(Overload, SpoolEnospcDegradesToNonDurableServing)
         const PushResult result = pushOnce(fixture.endpoint(), bytes);
         // Durability is lost; the REPLY is not.
         ASSERT_TRUE(result.ok) << result.error;
-        EXPECT_EQ(golden::eventsDiff(expected, result.report.events), "")
+        EXPECT_EQ(parity::eventsDiff(expected, result.report.events), "")
             << "served-despite-enospc";
         EXPECT_EQ(ChaosInjector::spoolAppendsStolen(), 1u);
     }
@@ -695,6 +695,6 @@ TEST(Overload, DefaultConfigIsAStrictNoOp)
     // And normal service is untouched.
     const PushResult result = pushOnce(fixture.endpoint(), bytes);
     ASSERT_TRUE(result.ok) << result.error;
-    EXPECT_EQ(golden::eventsDiff(expected, result.report.events), "")
+    EXPECT_EQ(parity::eventsDiff(expected, result.report.events), "")
         << "no-op-baseline";
 }

@@ -35,7 +35,7 @@ expectReportsBitExact(const DecodedReport &expected,
     EXPECT_EQ(golden::doubleBits(expected.coverageFraction),
               golden::doubleBits(actual.coverageFraction))
         << label;
-    EXPECT_EQ(golden::eventsDiff(expected.events, actual.events), "")
+    EXPECT_EQ(parity::eventsDiff(expected.events, actual.events), "")
         << label;
     EXPECT_EQ(expected.reportText, actual.reportText) << label;
 }
@@ -57,7 +57,7 @@ TEST(Resume, DroppedUploadParksAndResumesBitIdentically)
     ASSERT_TRUE(result.ok) << result.error;
     EXPECT_EQ(result.report.status, 0u);
     EXPECT_EQ(result.report.totalSamples, golden::kSamples);
-    EXPECT_EQ(golden::eventsDiff(expected, result.report.events), "")
+    EXPECT_EQ(parity::eventsDiff(expected, result.report.events), "")
         << "resumed";
 
     const ServerStats stats = fixture.server().stats();
@@ -106,7 +106,7 @@ TEST(Resume, EveryDropPointResumesBitIdentically)
             resumeAndFinish(fixture, bytes, id, false);
         ASSERT_TRUE(result.ok)
             << "cut=" << cut << ": " << result.error;
-        EXPECT_EQ(golden::eventsDiff(expected, result.report.events), "")
+        EXPECT_EQ(parity::eventsDiff(expected, result.report.events), "")
             << "cut=" + std::to_string(cut);
     }
 }
@@ -149,7 +149,7 @@ TEST(Resume, WrongOffsetIsRejectedThenCorrectResumeStillWorks)
     const PushResult result =
         resumeAndFinish(fixture, bytes, id, false);
     ASSERT_TRUE(result.ok) << result.error;
-    EXPECT_EQ(golden::eventsDiff(expected, result.report.events), "")
+    EXPECT_EQ(parity::eventsDiff(expected, result.report.events), "")
         << "resume-after-bad-offset";
 }
 
@@ -296,7 +296,7 @@ TEST(Resume, SpooledReportSurvivesDaemonRestartBitIdentically)
                                         &error))
             << error;
         expectReportsBitExact(original, served, "spool-replay");
-        EXPECT_EQ(golden::eventsDiff(expected, served.events), "")
+        EXPECT_EQ(parity::eventsDiff(expected, served.events), "")
             << "spool-replay";
     }
     EXPECT_EQ(restarted.server().stats().resultsServedFromSpool, 1u);
@@ -354,7 +354,7 @@ TEST(Resume, RestartMidUploadFallsBackToFreshAndStaysBitIdentical)
         << error;
     const PushResult result = client.finish();
     ASSERT_TRUE(result.ok) << result.error;
-    EXPECT_EQ(golden::eventsDiff(expected, result.report.events), "")
+    EXPECT_EQ(parity::eventsDiff(expected, result.report.events), "")
         << "fresh-after-restart";
 }
 
@@ -379,7 +379,7 @@ TEST(Resume, PushResumableRidesThroughInjectedDrop)
     ASSERT_TRUE(result.ok) << result.error;
     EXPECT_EQ(result.attempts, 2u);
     EXPECT_FALSE(result.connectionLost);
-    EXPECT_EQ(golden::eventsDiff(expected, result.report.events), "")
+    EXPECT_EQ(parity::eventsDiff(expected, result.report.events), "")
         << "push-resumable";
     EXPECT_EQ(fixture.server().stats().sessionsCompleted, 1u);
 }

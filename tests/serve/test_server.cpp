@@ -52,7 +52,7 @@ TEST(Server, ServedReportIsBitIdenticalForEveryUploadFraming)
         ASSERT_TRUE(result.ok) << c.name << ": " << result.error;
         EXPECT_EQ(result.report.status, 0u) << c.name;
         EXPECT_EQ(result.report.totalSamples, golden::kSamples);
-        EXPECT_EQ(golden::eventsDiff(expected, result.report.events), "")
+        EXPECT_EQ(parity::eventsDiff(expected, result.report.events), "")
             << c.name;
         EXPECT_FALSE(result.report.reportText.empty()) << c.name;
     }
@@ -220,7 +220,7 @@ TEST(Server, ConcurrentSessionsAllGetBitIdenticalReports)
     for (int i = 0; i < kSessions; ++i) {
         ASSERT_TRUE(results[i].ok)
             << "session " << i << ": " << results[i].error;
-        EXPECT_EQ(golden::eventsDiff(expected, results[i].report.events),
+        EXPECT_EQ(parity::eventsDiff(expected, results[i].report.events),
                   "")
             << "session " << i;
     }
@@ -241,7 +241,7 @@ TEST(Server, BackpressureBoundsTheQueueAndStillCompletes)
 
     const PushResult result = pushOnce(fixture.endpoint(), bytes, 256);
     ASSERT_TRUE(result.ok) << result.error;
-    EXPECT_EQ(golden::eventsDiff(expected, result.report.events), "");
+    EXPECT_EQ(parity::eventsDiff(expected, result.report.events), "");
 }
 
 TEST(Server, ScrapeReturnsTheSessionCounters)
@@ -337,6 +337,6 @@ TEST(Server, SendDataCutsAnUploadOverTheFrameCapIntoFrames)
     ASSERT_TRUE(sent.ok) << sent.error;
     EXPECT_EQ(sent.report.totalSamples, series.samples.size());
     EXPECT_EQ(sent.report.reportText, pushed.report.reportText);
-    EXPECT_EQ(golden::eventsDiff(pushed.report.events, sent.report.events),
+    EXPECT_EQ(parity::eventsDiff(pushed.report.events, sent.report.events),
               "");
 }

@@ -19,7 +19,6 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -27,12 +26,10 @@
 #include <fstream>
 #include <iterator>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -346,82 +343,22 @@ threadCpuSeconds(long tid)
            static_cast<double>(::sysconf(_SC_CLK_TCK));
 }
 
-/** A one-worker server whose queue budget holds the whole upload. */
-class BigUploadServer
+/** One worker, and a queue budget that holds the whole upload. */
+ServerConfig
+bigUploadConfig()
 {
-  public:
-    BigUploadServer()
-    {
-        static std::atomic<int> counter{0};
-        path_ = testing::TempDir() + "emprof_lifecycle_test_" +
-                std::to_string(::getpid()) + "_" +
-                std::to_string(counter.fetch_add(1)) + ".sock";
-        ServerConfig config;
-        config.unixPath = path_;
-        config.threads = 1;
-        config.sessionBufferBytes = std::size_t{1} << 30;
-        config.analysis = golden::goldenConfig();
-        const std::set<long> before = taskIds();
-        server_ = std::make_unique<Server>(std::move(config));
-        std::string error;
-        EXPECT_TRUE(server_->start(&error)) << error;
-        // The I/O thread is the last thread start() creates.
-        for (const long tid : taskIds())
-            if (before.count(tid) == 0)
-                ioTid_ = std::max(ioTid_, tid);
-    }
-
-    Endpoint
-    endpoint() const
-    {
-        Endpoint ep;
-        ep.tcp = false;
-        ep.unixPath = path_;
-        return ep;
-    }
-
-    Server &server() { return *server_; }
-    long ioTid() const { return ioTid_; }
-
-    template <typename Pred>
-    bool
-    waitFor(Pred done) const
-    {
-        for (int i = 0; i < 60000; ++i) {
-            if (done(server_->stats()))
-                return true;
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        return done(server_->stats());
-    }
-
-  private:
-    std::string path_;
-    std::unique_ptr<Server> server_;
-    long ioTid_ = 0;
-};
-
-/** Send @p bytes from @p offset on, in frames under the payload cap. */
-bool
-sendInFrames(Client &client, const std::vector<uint8_t> &bytes,
-             std::size_t offset)
-{
-    std::string error;
-    for (std::size_t at = offset; at < bytes.size(); at += 256 * 1024)
-        if (!client.sendData(bytes.data() + at,
-                             std::min<std::size_t>(256 * 1024,
-                                                   bytes.size() - at),
-                             &error)) {
-            ADD_FAILURE() << error;
-            return false;
-        }
-    return true;
+    ServerConfig config;
+    config.threads = 1;
+    config.sessionBufferBytes = std::size_t{1} << 30;
+    return config;
 }
+
+constexpr std::chrono::seconds kBigUploadWait{60};
 
 /** Open a fresh session, queue the whole capture, and return the
  *  socket (still open) and the session id. */
 int
-queueWholeUpload(BigUploadServer &fixture, SessionId &id,
+queueWholeUpload(support::ServerFixture &fixture, SessionId &id,
                  bool resilient = false)
 {
     const auto &bytes = bigCapture();
@@ -436,10 +373,13 @@ queueWholeUpload(BigUploadServer &fixture, SessionId &id,
     EXPECT_TRUE(
         client.openSession(open, id, offset, state, nullptr, &error))
         << error;
-    EXPECT_TRUE(sendInFrames(client, bytes, 0));
-    EXPECT_TRUE(fixture.waitFor([&](const ServerStats &s) {
-        return s.bytesIngested - ingested == bytes.size();
-    }));
+    EXPECT_TRUE(client.sendData(bytes.data(), bytes.size(), &error))
+        << error;
+    EXPECT_TRUE(fixture.waitFor(
+        [&](const ServerStats &s) {
+            return s.bytesIngested - ingested == bytes.size();
+        },
+        kBigUploadWait));
     return client.releaseFd();
 }
 
@@ -447,8 +387,14 @@ queueWholeUpload(BigUploadServer &fixture, SessionId &id,
 
 TEST(Server, HangUpWhileAnalysingDoesNotSpinTheIoThread)
 {
-    BigUploadServer fixture;
-    ASSERT_GT(fixture.ioTid(), 0);
+    const std::set<long> before = taskIds();
+    support::ServerFixture fixture(bigUploadConfig());
+    // The I/O thread is the last thread start() creates.
+    long ioTid = 0;
+    for (const long tid : taskIds())
+        if (before.count(tid) == 0)
+            ioTid = std::max(ioTid, tid);
+    ASSERT_GT(ioTid, 0);
     // A first upload keeps the only worker busy, so the hung-up
     // session's pump waits behind it and the drain lasts long enough
     // for the 10 ms ticks of /proc/<pid>/task/<tid>/stat to resolve 10%.
@@ -458,14 +404,15 @@ TEST(Server, HangUpWhileAnalysingDoesNotSpinTheIoThread)
     const int fd = queueWholeUpload(fixture, id, true);
 
     const auto t0 = std::chrono::steady_clock::now();
-    const double cpu0 = threadCpuSeconds(fixture.ioTid());
+    const double cpu0 = threadCpuSeconds(ioTid);
     ::close(fd);
     ASSERT_TRUE(fixture.waitFor(
-        [](const ServerStats &s) { return s.sessionsParked >= 1; }));
+        [](const ServerStats &s) { return s.sessionsParked >= 1; },
+        kBigUploadWait));
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
-    const double cpu = threadCpuSeconds(fixture.ioTid()) - cpu0;
+    const double cpu = threadCpuSeconds(ioTid) - cpu0;
     EXPECT_LT(cpu, 0.1 * wall)
         << "I/O thread used " << cpu << " s of CPU in the " << wall
         << " s from hang-up to park";
@@ -475,7 +422,7 @@ TEST(Server, HangUpWhileAnalysingDoesNotSpinTheIoThread)
 TEST(Resume, ImmediateReconnectResumesTheDrainingSession)
 {
     const auto &bytes = bigCapture();
-    BigUploadServer fixture;
+    support::ServerFixture fixture(bigUploadConfig());
 
     // The uninterrupted upload's report is the reference.
     const PushResult uninterrupted = support::pushOnce(fixture.endpoint(),
@@ -504,7 +451,9 @@ TEST(Resume, ImmediateReconnectResumesTheDrainingSession)
     EXPECT_EQ(echoed, id);
     ASSERT_LE(offset, bytes.size());
     EXPECT_GT(offset, bytes.size() / 2) << "the drain kept the queue";
-    ASSERT_TRUE(sendInFrames(client, bytes, offset));
+    ASSERT_TRUE(client.sendData(bytes.data() + offset,
+                                bytes.size() - offset, &error))
+        << error;
     const PushResult resumed = client.finish();
     ASSERT_TRUE(resumed.ok) << resumed.error;
 
@@ -512,7 +461,7 @@ TEST(Resume, ImmediateReconnectResumesTheDrainingSession)
     const DecodedReport &got = resumed.report;
     EXPECT_EQ(want.status, got.status);
     EXPECT_EQ(want.totalSamples, got.totalSamples);
-    EXPECT_EQ(golden::eventsDiff(want.events, got.events), "");
+    EXPECT_EQ(parity::eventsDiff(want.events, got.events), "");
     EXPECT_EQ(want.reportText, got.reportText);
 
     // Every park was resumed, and nothing expired or was evicted, so

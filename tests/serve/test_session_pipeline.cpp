@@ -174,7 +174,7 @@ TEST(SessionPipeline, AllFramingsAreBitIdenticalToTheGoldenEvents)
     };
     for (const auto &c : cases) {
         const auto result = runFraming(bytes, c.step, c.span);
-        EXPECT_EQ(golden::eventsDiff(expected, result.events), "")
+        EXPECT_EQ(parity::eventsDiff(expected, result.events), "")
             << c.name;
         EXPECT_EQ(result.report.totalEvents, expected.size())
             << c.name;
@@ -222,7 +222,7 @@ TEST(SessionPipeline, ResilientModeMatchesTheDirectResilientPath)
     profiler::ProfileResult served;
     ASSERT_TRUE(pipeline.finish(served, &error)) << error;
 
-    EXPECT_EQ(golden::eventsDiff(ref.events, served.events), "")
+    EXPECT_EQ(parity::eventsDiff(ref.events, served.events), "")
         << "resilient";
     EXPECT_EQ(served.report.quality.enabled, true);
     EXPECT_EQ(golden::doubleBits(

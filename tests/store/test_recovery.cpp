@@ -20,6 +20,7 @@
 #include "dsp/rng.hpp"
 #include "profiler/parallel_analyzer.hpp"
 #include "profiler/profiler.hpp"
+#include "../parity.hpp"
 #include "../profiler/streaming_oracle.hpp"
 #include "store/capture_reader.hpp"
 #include "store/capture_writer.hpp"
@@ -341,15 +342,7 @@ TEST(Recovery, RecoveredReaderFeedsParallelAnalyzerIdentically)
                                                  parallel, pcfg, &error))
         << error;
 
-    ASSERT_EQ(parallel.events.size(), streaming.events.size());
-    for (std::size_t i = 0; i < streaming.events.size(); ++i) {
-        EXPECT_EQ(parallel.events[i].startSample,
-                  streaming.events[i].startSample);
-        EXPECT_EQ(parallel.events[i].endSample,
-                  streaming.events[i].endSample);
-        EXPECT_EQ(parallel.events[i].depth, streaming.events[i].depth);
-        EXPECT_EQ(parallel.events[i].kind, streaming.events[i].kind);
-    }
+    EXPECT_EQ(parity::eventsDiff(streaming.events, parallel.events), "");
     std::remove(path.c_str());
     std::remove(cut.c_str());
 }

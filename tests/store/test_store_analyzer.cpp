@@ -20,6 +20,7 @@
 #include "obs/metrics.hpp"
 #include "profiler/parallel_analyzer.hpp"
 #include "profiler/profiler.hpp"
+#include "../parity.hpp"
 #include "../profiler/streaming_oracle.hpp"
 #include "store/capture_reader.hpp"
 #include "store/capture_writer.hpp"
@@ -62,15 +63,7 @@ busySignalWithDips(std::size_t total, uint64_t seed)
 void
 expectIdentical(const ProfileResult &a, const ProfileResult &b)
 {
-    ASSERT_EQ(a.events.size(), b.events.size());
-    for (std::size_t i = 0; i < b.events.size(); ++i) {
-        EXPECT_EQ(a.events[i].startSample, b.events[i].startSample);
-        EXPECT_EQ(a.events[i].endSample, b.events[i].endSample);
-        EXPECT_EQ(a.events[i].depth, b.events[i].depth);
-        EXPECT_EQ(a.events[i].durationNs, b.events[i].durationNs);
-        EXPECT_EQ(a.events[i].stallCycles, b.events[i].stallCycles);
-        EXPECT_EQ(a.events[i].kind, b.events[i].kind);
-    }
+    EXPECT_EQ(parity::eventsDiff(b.events, a.events), "");
     EXPECT_EQ(a.report.totalEvents, b.report.totalEvents);
 }
 
@@ -78,20 +71,7 @@ expectIdentical(const ProfileResult &a, const ProfileResult &b)
 void
 expectBitIdentical(const ProfileResult &a, const ProfileResult &b)
 {
-    ASSERT_EQ(a.events.size(), b.events.size());
-    for (std::size_t i = 0; i < b.events.size(); ++i) {
-        const StallEvent &x = a.events[i];
-        const StallEvent &y = b.events[i];
-        EXPECT_EQ(x.startSample, y.startSample) << "event " << i;
-        EXPECT_EQ(x.endSample, y.endSample) << "event " << i;
-        EXPECT_EQ(x.depth, y.depth) << "event " << i;
-        EXPECT_EQ(x.durationNs, y.durationNs) << "event " << i;
-        EXPECT_EQ(x.stallCycles, y.stallCycles) << "event " << i;
-        EXPECT_EQ(x.confidence, y.confidence) << "event " << i;
-        EXPECT_EQ(x.kind, y.kind) << "event " << i;
-        EXPECT_EQ(x.level, y.level) << "event " << i;
-        EXPECT_EQ(x.levelConfidence, y.levelConfidence) << "event " << i;
-    }
+    EXPECT_EQ(parity::eventsDiff(b.events, a.events), "");
     const ProfileReport &p = a.report;
     const ProfileReport &q = b.report;
     EXPECT_EQ(p.totalEvents, q.totalEvents);

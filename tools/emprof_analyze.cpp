@@ -79,9 +79,10 @@ usage(const char *argv0)
         "performance:\n"
         "  --threads <n>       analysis worker threads (default:\n"
         "                      hardware concurrency); events are\n"
-        "                      bit-identical for every count.  Set\n"
-        "                      EMPROF_SIMD=scalar to run the scalar\n"
-        "                      reference kernel\n"
+        "                      bit-identical for every count.  The\n"
+        "                      AVX2 kernel runs when the CPU has AVX2;\n"
+        "                      a -DEMPROF_DISABLE_SIMD=ON build runs\n"
+        "                      the scalar reference kernel\n"
         "\n"
         "recovery:\n"
         "  --recover           open a truncated/unfinalized EMCAP\n"
@@ -199,7 +200,6 @@ main(int argc, char **argv)
 
     {
     EMPROF_OBS_STAGE("tool.load");
-    const dsp::SignalFileType ftype = dsp::sniffSignalFile(path);
     if (raw_f32 || raw_iq) {
         if (rate_mhz <= 0.0) {
             std::fprintf(stderr,
@@ -212,7 +212,7 @@ main(int argc, char **argv)
             std::fprintf(stderr, "%s\n", io_error.describe().c_str());
             return 1;
         }
-    } else if (ftype == dsp::SignalFileType::Emcap || recover) {
+    } else if (recover || store::CaptureReader::isEmcap(path)) {
         std::string err;
         bool opened;
         if (recover) {
@@ -259,7 +259,7 @@ main(int argc, char **argv)
         } else {
             emcap_direct = true;
         }
-    } else if (ftype == dsp::SignalFileType::Emsig) {
+    } else if (dsp::isEmsig(path)) {
         common::io::IoError io_error;
         if (!dsp::loadSignal(path, signal, &io_error)) {
             std::fprintf(stderr, "%s\n", io_error.describe().c_str());

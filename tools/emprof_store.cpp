@@ -292,7 +292,6 @@ convert(const std::string &in, const std::string &out,
     double clock_ghz = opt.clockGhz;
     std::string device = opt.deviceName;
 
-    const auto ftype = dsp::sniffSignalFile(in);
     if (opt.rawF32 || opt.rawIq) {
         if (opt.rateMhz <= 0.0) {
             std::fprintf(stderr,
@@ -305,7 +304,7 @@ convert(const std::string &in, const std::string &out,
             std::fprintf(stderr, "%s\n", io_error.describe().c_str());
             return 1;
         }
-    } else if (ftype == dsp::SignalFileType::Emcap) {
+    } else if (store::CaptureReader::isEmcap(in)) {
         store::CaptureReader reader;
         std::string error;
         if (!reader.open(in, &error) || !reader.readAll(series, &error)) {
@@ -317,7 +316,7 @@ convert(const std::string &in, const std::string &out,
             clock_ghz = reader.info().clockHz / 1e9;
         if (device.empty())
             device = reader.info().deviceName;
-    } else if (ftype == dsp::SignalFileType::Emsig) {
+    } else if (dsp::isEmsig(in)) {
         common::io::IoError io_error;
         if (!dsp::loadSignal(in, series, &io_error)) {
             std::fprintf(stderr, "%s\n", io_error.describe().c_str());
