@@ -28,7 +28,7 @@ class LoadKernel : public workloads::SegmentedWorkload
     {
         auto addrs = std::make_shared<workloads::RandomAddresses>(
             0x4000'0000, footprint_bytes, seed);
-        addSegment("loads", 400, [addrs](auto &out, uint64_t) {
+        addSegment(400, [addrs](auto &out, uint64_t) {
             workloads::Addr pc =
                 workloads::emitCompute(out, 0x1000, 80, 0);
             pc = workloads::emitDependentLoad(out, pc, addrs->next(), 0);

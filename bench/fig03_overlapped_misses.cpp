@@ -29,7 +29,7 @@ class HiddenMissKernel : public workloads::SegmentedWorkload
     {
         auto addrs = std::make_shared<workloads::StreamAddresses>(
             0x4000'0000, 64 * 1024 * 1024);
-        addSegment("hidden", 300, [addrs](auto &out, uint64_t) {
+        addSegment(300, [addrs](auto &out, uint64_t) {
             // The load's value is never consumed and plenty of work
             // follows, so the miss drains while the core stays busy.
             workloads::Addr pc = workloads::emitIndependentLoad(
@@ -48,7 +48,7 @@ class OverlapKernel : public workloads::SegmentedWorkload
     {
         auto addrs = std::make_shared<workloads::StreamAddresses>(
             0x5000'0000, 64 * 1024 * 1024);
-        addSegment("overlap", 300, [addrs](auto &out, uint64_t) {
+        addSegment(300, [addrs](auto &out, uint64_t) {
             workloads::Addr pc = 0x1000;
             // Four misses in a tight burst: MLP overlaps them, and the
             // resulting stall is one merged interval.

@@ -38,7 +38,7 @@ class BlurWorkload : public workloads::SegmentedWorkload
         auto output = std::make_shared<workloads::StreamAddresses>(
             0x6000'0000, 2 * 1024 * 1024);
 
-        addSegment("blur_rows", 40'000, [=](auto &out, uint64_t) {
+        addSegment(40'000, [=](auto &out, uint64_t) {
             workloads::Addr pc = 0x1000;
             // Load a pixel neighbourhood (sequential: prefetchable on
             // cores that have a prefetcher, cold misses otherwise).

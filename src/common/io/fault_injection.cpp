@@ -99,20 +99,6 @@ FaultInjector::fired()
     return plan_fired;
 }
 
-uint64_t
-FaultInjector::bytesWritten()
-{
-    const std::lock_guard<std::mutex> lock(state_mutex);
-    return written_bytes;
-}
-
-uint64_t
-FaultInjector::bytesRead()
-{
-    const std::lock_guard<std::mutex> lock(state_mutex);
-    return read_bytes;
-}
-
 FaultInjector::Decision
 FaultInjector::onWrite(std::size_t want)
 {

@@ -85,12 +85,6 @@ class FaultInjector
     /** True once the armed fault has fired. */
     static bool fired();
 
-    /** Bytes offered to write transfers since arm(). */
-    static uint64_t bytesWritten();
-
-    /** Bytes offered to read transfers since arm(). */
-    static uint64_t bytesRead();
-
     /** What CheckedFile should do with (part of) one transfer. */
     struct Decision
     {

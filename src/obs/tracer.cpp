@@ -40,12 +40,6 @@ thread_local uint64_t tls_current_span = 0;
 } // namespace
 
 uint64_t
-Tracer::currentSpan()
-{
-    return tls_current_span;
-}
-
-uint64_t
 Tracer::exchangeCurrentSpan(uint64_t id)
 {
     const uint64_t old = tls_current_span;

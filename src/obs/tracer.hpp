@@ -84,9 +84,6 @@ class Tracer
     /** Dense 1-based id for the calling thread. */
     static uint32_t currentThreadNumber();
 
-    /** Id of the innermost open span on this thread (0 if none). */
-    static uint64_t currentSpan();
-
     static constexpr std::size_t kDefaultCapacity = 1u << 15;
 
   private:

@@ -57,14 +57,6 @@ BoxSmoother::push(double x)
     return sum / static_cast<double>(n);
 }
 
-void
-BoxSmoother::reset()
-{
-    std::fill(ring_.begin(), ring_.end(), 0.0);
-    head_ = 0;
-    count_ = 0;
-}
-
 AdaptiveNormalizer::AdaptiveNormalizer(std::size_t window,
                                        std::size_t smoother,
                                        double drift_tolerance,

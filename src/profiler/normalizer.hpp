@@ -131,8 +131,6 @@ class BoxSmoother
     /** Push a raw sample, get the mean of the trailing window. */
     double push(double x);
 
-    void reset();
-
     std::size_t window() const { return ring_.size(); }
 
   private:

@@ -59,12 +59,6 @@ ChaosInjector::disarm()
 }
 
 bool
-ChaosInjector::armed()
-{
-    return g_armed.load(std::memory_order_acquire);
-}
-
-bool
 ChaosInjector::stealAccept(int *errnoOut)
 {
     if (!g_armed.load(std::memory_order_relaxed))

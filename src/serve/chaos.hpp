@@ -66,7 +66,6 @@ class ChaosInjector
   public:
     static void arm(const ChaosPlan &plan);
     static void disarm();
-    static bool armed();
 
     /**
      * Consulted before each real accept().  True = simulate a failed

@@ -28,6 +28,15 @@ markLost(bool *connectionLost)
         *connectionLost = true;
 }
 
+/** Copy @p bytes from @p from to @p out, a payload sized up front;
+ *  returns the byte after them. */
+uint8_t *
+put(uint8_t *out, const void *from, std::size_t bytes)
+{
+    std::memcpy(out, from, bytes);
+    return out + bytes;
+}
+
 /** errno values that mean "the transport died", not "we misspoke". */
 bool
 errnoIsConnectionLoss(int e)
@@ -294,17 +303,15 @@ encodeReportPayload(uint32_t status, uint64_t totalSamples,
     rh.totalSamples = totalSamples;
     rh.coverageFraction = coverageFraction;
 
-    std::vector<uint8_t> payload;
-    payload.reserve(sizeof(rh) + events.size() * sizeof(WireEvent) +
-                    reportText.size());
-    const uint8_t *p = reinterpret_cast<const uint8_t *>(&rh);
-    payload.insert(payload.end(), p, p + sizeof(rh));
+    std::vector<uint8_t> payload(sizeof(rh) +
+                                 events.size() * sizeof(WireEvent) +
+                                 reportText.size());
+    uint8_t *out = put(payload.data(), &rh, sizeof(rh));
     for (const auto &ev : events) {
         const WireEvent w = toWire(ev);
-        const uint8_t *wp = reinterpret_cast<const uint8_t *>(&w);
-        payload.insert(payload.end(), wp, wp + sizeof(w));
+        out = put(out, &w, sizeof(w));
     }
-    payload.insert(payload.end(), reportText.begin(), reportText.end());
+    put(out, reportText.data(), reportText.size());
     return payload;
 }
 
@@ -374,11 +381,9 @@ encodeErrorPayload(ErrorCode code, const std::string &message)
 {
     ErrorHeader eh;
     eh.code = static_cast<uint32_t>(code);
-    std::vector<uint8_t> payload;
-    payload.reserve(sizeof(eh) + message.size());
-    const uint8_t *p = reinterpret_cast<const uint8_t *>(&eh);
-    payload.insert(payload.end(), p, p + sizeof(eh));
-    payload.insert(payload.end(), message.begin(), message.end());
+    std::vector<uint8_t> payload(sizeof(eh) + message.size());
+    put(put(payload.data(), &eh, sizeof(eh)), message.data(),
+        message.size());
     return payload;
 }
 
@@ -387,13 +392,11 @@ encodeRetryAfterPayload(uint32_t retryAfterMs, const std::string &message)
 {
     ErrorHeader eh;
     eh.code = static_cast<uint32_t>(ErrorCode::RetryAfter);
-    std::vector<uint8_t> payload;
-    payload.reserve(sizeof(eh) + sizeof(retryAfterMs) + message.size());
-    const uint8_t *p = reinterpret_cast<const uint8_t *>(&eh);
-    payload.insert(payload.end(), p, p + sizeof(eh));
-    const uint8_t *hp = reinterpret_cast<const uint8_t *>(&retryAfterMs);
-    payload.insert(payload.end(), hp, hp + sizeof(retryAfterMs));
-    payload.insert(payload.end(), message.begin(), message.end());
+    std::vector<uint8_t> payload(sizeof(eh) + sizeof(retryAfterMs) +
+                                 message.size());
+    uint8_t *out = put(payload.data(), &eh, sizeof(eh));
+    put(put(out, &retryAfterMs, sizeof(retryAfterMs)), message.data(),
+        message.size());
     return payload;
 }
 

@@ -4,22 +4,6 @@
 
 namespace emprof::sim {
 
-const char *
-stallLevelName(StallLevel level)
-{
-    switch (level) {
-    case StallLevel::LlcHit:
-        return "llc-hit";
-    case StallLevel::PrefetchMasked:
-        return "prefetch-masked";
-    case StallLevel::Dram:
-        return "dram";
-    case StallLevel::DramRefresh:
-        return "dram-refresh";
-    }
-    return "unknown";
-}
-
 std::vector<StallInterval>
 GroundTruth::labeledIntervals(Cycle max_gap, Cycle min_cycles) const
 {

@@ -45,9 +45,6 @@ enum class StallLevel : uint8_t
 /** Number of stall levels (confusion-matrix dimension). */
 inline constexpr std::size_t kStallLevelCount = 4;
 
-/** Stable lower-case name for a stall level. */
-const char *stallLevelName(StallLevel level);
-
 /**
  * How the misses behind one stalled cycle were served; the core model
  * fills this from AccessOutcome fields (DESIGN.md §16).  The default

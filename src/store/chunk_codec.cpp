@@ -6,18 +6,14 @@
 #include <cmath>
 #include <cstring>
 
+#include "store/chunk_codec_detail.hpp"
+
 namespace emprof::store {
 
 namespace {
 
-/** Deltas per bit-packed miniblock. */
-constexpr std::size_t kMiniblock = 128;
-
-/**
- * Widest legal packed value: f32 bit patterns delta in (-2^32, 2^32),
- * zig-zag < 2^33.  Anything wider in a payload is corruption.
- */
-constexpr unsigned kMaxWidth = 40;
+using detail::kMaxWidth;
+using detail::kMiniblock;
 
 uint64_t
 zigzag(int64_t d)
@@ -69,7 +65,7 @@ struct BitWriter
     }
 };
 
-// The unpacker reads the little-endian bit stream with plain 8-byte
+// The unpackers read the little-endian bit stream with plain unaligned
 // loads, which is only the format's byte order on a little-endian host.
 static_assert(std::endian::native == std::endian::little,
               "EMCAP decode assumes a little-endian host");
@@ -95,6 +91,8 @@ load64(const uint8_t *p)
  */
 struct F32Ints
 {
+    static constexpr SampleCodec kCodec = SampleCodec::F32;
+
     static uint64_t outOfRange(uint64_t v) { return v >> 32; }
 
     static dsp::Sample
@@ -106,6 +104,8 @@ struct F32Ints
 
 struct I16Ints
 {
+    static constexpr SampleCodec kCodec = SampleCodec::QuantI16;
+
     static uint64_t outOfRange(uint64_t v) { return (v + 32768) >> 16; }
 
     static dsp::Sample
@@ -116,12 +116,10 @@ struct I16Ints
 };
 
 /**
- * Unpack one miniblock of @p n deltas at @p width bits from @p in,
- * extend the running value @p prev and write the samples.  Every
- * value's bits lie inside one unaligned 8-byte load (7 + 40 < 64), so
- * @p in must have 8 readable bytes past each value's first byte; the
- * caller guarantees that.  Returns nonzero iff some value fell outside
- * the codec's range (checked once per block, not per sample).
+ * Unpack one miniblock (detail::unpackBlockScalar's contract, one codec).
+ * Every value's bits lie inside one unaligned 8-byte load (7 + 40 < 64),
+ * so it reads at most 8 bytes past each value's first byte.  The range
+ * test is checked once per block, not per sample.
  */
 template <class Ints>
 uint64_t
@@ -142,12 +140,26 @@ unpackBlock(const uint8_t *in, unsigned width, std::size_t n,
     return bad;
 }
 
+/** The block unpacker this process uses, chosen from the build and the
+ *  CPU. */
+detail::UnpackFn
+chooseUnpacker()
+{
+#if !defined(EMPROF_DISABLE_SIMD)
+    if (detail::unpackAvx2Available())
+        return detail::unpackBlockAvx2;
+#endif
+    return detail::unpackBlockScalar;
+}
+
 /** DeltaPacked decode for one codec; @p payloadBytes >= 8. */
 template <class Ints>
 bool
 decodePacked(const uint8_t *payload, std::size_t payloadBytes,
              float scale, std::size_t count, dsp::Sample *out)
 {
+    static const detail::UnpackFn unpack = chooseUnpacker();
+
     uint64_t prev = load64(payload);
     if (Ints::outOfRange(prev) != 0)
         return false;
@@ -155,7 +167,7 @@ decodePacked(const uint8_t *payload, std::size_t payloadBytes,
 
     const uint8_t *p = payload + 8;
     const uint8_t *const end = payload + payloadBytes;
-    uint8_t padded[kMaxBlockBytes + 8] = {};
+    uint8_t padded[kMaxBlockBytes + detail::kUnpackSlack] = {};
     for (std::size_t g = 1; g < count; g += kMiniblock) {
         const std::size_t n = std::min(kMiniblock, count - g);
         if (p == end)
@@ -167,15 +179,16 @@ decodePacked(const uint8_t *payload, std::size_t payloadBytes,
         const auto left = static_cast<std::size_t>(end - p);
         if (bytes > left)
             return false;
-        // A block too close to the payload end for the 8-byte loads
-        // (in practice only the last) is decoded from a padded copy.
+        // A block too close to the payload end for the unpacker's
+        // loads (in practice only the last) is decoded from a padded
+        // copy.
         const uint8_t *in = p;
-        if (left - bytes < 8) {
+        if (left - bytes < detail::kUnpackSlack) {
             std::memcpy(padded, p, bytes);
-            std::memset(padded + bytes, 0, 8);
+            std::memset(padded + bytes, 0, detail::kUnpackSlack);
             in = padded;
         }
-        if (unpackBlock<Ints>(in, width, n, prev, scale, out + g) != 0)
+        if (unpack(in, width, n, Ints::kCodec, scale, prev, out + g) != 0)
             return false;
         p += bytes;
     }
@@ -185,6 +198,30 @@ decodePacked(const uint8_t *payload, std::size_t payloadBytes,
 }
 
 } // namespace
+
+namespace detail {
+
+uint64_t
+unpackBlockScalar(const uint8_t *in, unsigned width, std::size_t n,
+                  SampleCodec codec, float scale, uint64_t &prev,
+                  dsp::Sample *out)
+{
+    return codec == SampleCodec::F32
+               ? unpackBlock<F32Ints>(in, width, n, prev, scale, out)
+               : unpackBlock<I16Ints>(in, width, n, prev, scale, out);
+}
+
+bool
+unpackAvx2Available()
+{
+#if !defined(EMPROF_DISABLE_SIMD)
+    return __builtin_cpu_supports("avx2") != 0;
+#else
+    return false;
+#endif
+}
+
+} // namespace detail
 
 int32_t
 quantize(dsp::Sample x, float scale, unsigned bits)

@@ -6,8 +6,6 @@ namespace emprof::store {
 
 namespace {
 
-constexpr uint32_t kPoly = 0x82F63B78u; // 0x1EDC6F41 reflected
-
 struct Tables
 {
     // tables[k][b]: CRC of byte b followed by k zero bytes.
@@ -18,7 +16,7 @@ struct Tables
         for (uint32_t b = 0; b < 256; ++b) {
             uint32_t crc = b;
             for (int bit = 0; bit < 8; ++bit)
-                crc = (crc >> 1) ^ ((crc & 1u) ? kPoly : 0u);
+                crc = (crc >> 1) ^ ((crc & 1u) ? detail::kCrc32cPoly : 0u);
             t[0][b] = crc;
         }
         for (int k = 1; k < 8; ++k)

@@ -81,7 +81,7 @@ makeBoot(const BootConfig &config)
         const PhaseRecipe r = recipe;
         const uint8_t tag = phase_tag;
         w->addSegment(
-            r.name, iterations,
+            iterations,
             [r, tag, stream, random](std::vector<MicroOp> &out, uint64_t) {
                 Addr pc = emitCompute(out, r.codePc, r.computeOps, tag,
                                       /*mul_every=*/7);

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "dsp/rng.hpp"
@@ -27,7 +26,7 @@ using sim::Addr;
 using sim::MicroOp;
 
 /**
- * Trace source built from named segments.
+ * Trace source built from segments.
  */
 class SegmentedWorkload : public sim::ChunkedTraceSource
 {
@@ -38,14 +37,13 @@ class SegmentedWorkload : public sim::ChunkedTraceSource
     /**
      * Append a segment.
      *
-     * @param name Diagnostic name.
      * @param iterations Number of body invocations.
      * @param body Iteration generator.
      */
     void
-    addSegment(std::string name, uint64_t iterations, BodyFn body)
+    addSegment(uint64_t iterations, BodyFn body)
     {
-        segments_.push_back({std::move(name), iterations, std::move(body)});
+        segments_.push_back({iterations, std::move(body)});
     }
 
   protected:
@@ -68,7 +66,6 @@ class SegmentedWorkload : public sim::ChunkedTraceSource
   private:
     struct Segment
     {
-        std::string name;
         uint64_t iterations;
         BodyFn body;
     };

@@ -40,7 +40,7 @@ Microbenchmark::Microbenchmark(const MicrobenchmarkConfig &config)
         std::swap(addresses_[i - 1], addresses_[rng.below(i)]);
 
     // --- Phase 0: page touch ------------------------------------------
-    addSegment("page_touch", pages, [this](auto &out, uint64_t p) {
+    addSegment(pages, [this](auto &out, uint64_t p) {
         Addr pc = kPcPageTouch;
         pc = emitDependentLoad(out, pc,
                                kArrayBase + p * config_.pageBytes,
@@ -50,7 +50,7 @@ Microbenchmark::Microbenchmark(const MicrobenchmarkConfig &config)
     });
 
     // --- Phase 1: leading blank (marker) loop -------------------------
-    addSegment("blank_loop_1", config_.blankLoopIterations,
+    addSegment(config_.blankLoopIterations,
                [this](auto &out, uint64_t) {
                    Addr pc = emitCompute(out, kPcBlank1,
                                          config_.aluPerBlankIteration,
@@ -59,7 +59,7 @@ Microbenchmark::Microbenchmark(const MicrobenchmarkConfig &config)
                });
 
     // --- Phase 2: measured memory-access section ----------------------
-    addSegment("memory_accesses", config_.totalMisses,
+    addSegment(config_.totalMisses,
                [this](auto &out, uint64_t i) {
                    // rand() + page/line/address computation.
                    Addr pc = emitCompute(out, kPcRand, config_.randWorkOps,
@@ -81,7 +81,7 @@ Microbenchmark::Microbenchmark(const MicrobenchmarkConfig &config)
                });
 
     // --- Phase 3: trailing blank (marker) loop -------------------------
-    addSegment("blank_loop_2", config_.blankLoopIterations,
+    addSegment(config_.blankLoopIterations,
                [this](auto &out, uint64_t) {
                    Addr pc = emitCompute(out, kPcBlank2,
                                          config_.aluPerBlankIteration,

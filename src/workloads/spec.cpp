@@ -97,12 +97,12 @@ opsPerIteration(const KernelSpec &spec)
 
 /** Add a segment running @p iterations of the kernel. */
 void
-addKernel(SegmentedWorkload &w, std::string name, uint64_t iterations,
-          const KernelSpec &spec, uint64_t seed)
+addKernel(SegmentedWorkload &w, uint64_t iterations, const KernelSpec &spec,
+          uint64_t seed)
 {
     auto state = std::make_shared<KernelState>(spec, seed);
     w.addSegment(
-        std::move(name), iterations,
+        iterations,
         [state, spec](std::vector<MicroOp> &out, uint64_t iter) {
             Addr pc = spec.codePc;
 
@@ -195,7 +195,7 @@ makeAmmp(uint64_t ops, uint64_t seed)
     k.burstRandomLoads = 2;
     k.interLoadOps = 240; // neighbour processing between gathers
     k.coldRandomFootprint = 128 * kKiB;
-    addKernel(*w, "force_compute", iterationsFor(ops, k), k, seed);
+    addKernel(*w, iterationsFor(ops, k), k, seed);
     return w;
 }
 
@@ -214,7 +214,7 @@ makeBzip2(uint64_t ops, uint64_t seed)
     k.burstEvery = 160;
     k.burstStreamLoads = 8;
     k.coldStreamFootprint = 512 * kKiB;
-    addKernel(*w, "compress", iterationsFor(ops, k), k, seed);
+    addKernel(*w, iterationsFor(ops, k), k, seed);
     return w;
 }
 
@@ -233,7 +233,7 @@ makeCrafty(uint64_t ops, uint64_t seed)
     k.burstEvery = 190;
     k.burstRandomLoads = 1;
     k.coldRandomFootprint = 24 * kKiB;
-    addKernel(*w, "search", iterationsFor(ops, k), k, seed);
+    addKernel(*w, iterationsFor(ops, k), k, seed);
     return w;
 }
 
@@ -255,7 +255,7 @@ makeEquake(uint64_t ops, uint64_t seed)
     k.coldRandomFootprint = 256 * kKiB;
     k.dependentRandom = false;
     k.interLoadOps = 70; // semi-tight gathers: some MLP merging remains
-    addKernel(*w, "smvp", iterationsFor(ops, k), k, seed);
+    addKernel(*w, iterationsFor(ops, k), k, seed);
     return w;
 }
 
@@ -274,7 +274,7 @@ makeGzip(uint64_t ops, uint64_t seed)
     k.burstEvery = 420;
     k.burstStreamLoads = 3;
     k.coldStreamFootprint = 128 * kKiB;
-    addKernel(*w, "deflate", iterationsFor(ops, k), k, seed);
+    addKernel(*w, iterationsFor(ops, k), k, seed);
     return w;
 }
 
@@ -285,7 +285,7 @@ makeMcf(uint64_t ops, uint64_t seed)
     // over 8 MiB, each hop fully exposed (no MLP).  Produces the long
     // serial stalls that give mcf its heavy latency tail (Fig. 11).
     auto w = std::make_unique<SegmentedWorkload>();
-    KernelSpec k;
+    KernelSpec k; // refresh_potential
     k.codePc = 0x60000;
     k.computeOps = 64;
     k.residentLoads = 1;
@@ -295,18 +295,16 @@ makeMcf(uint64_t ops, uint64_t seed)
     k.chase = true;
     k.interLoadOps = 230; // per-hop node processing (chain fits the
                            // core scoreboard window)
-    addKernel(*w, "refresh_potential", iterationsFor(ops * 7 / 10, k), k,
-              seed);
+    addKernel(*w, iterationsFor(ops * 7 / 10, k), k, seed);
 
-    KernelSpec arcs;
+    KernelSpec arcs; // price_out
     arcs.codePc = 0x64000;
     arcs.computeOps = 90;
     arcs.residentLoads = 1;
     arcs.burstEvery = 156;
     arcs.burstRandomLoads = 1;
     arcs.coldRandomFootprint = 256 * kKiB;
-    addKernel(*w, "price_out", iterationsFor(ops * 3 / 10, arcs), arcs,
-              seed + 1);
+    addKernel(*w, iterationsFor(ops * 3 / 10, arcs), arcs, seed + 1);
     return w;
 }
 
@@ -327,8 +325,7 @@ makeParser(uint64_t ops, uint64_t seed)
     rd.burstStreamLoads = 2;
     rd.coldStreamFootprint = 192 * kKiB;
     rd.phase = ParserPhases::kReadDictionary;
-    addKernel(*w, "read_dictionary", iterationsFor(ops * 3 / 10, rd), rd,
-              seed);
+    addKernel(*w, iterationsFor(ops * 3 / 10, rd), rd, seed);
 
     KernelSpec init;
     init.codePc = 0x74000;
@@ -339,8 +336,7 @@ makeParser(uint64_t ops, uint64_t seed)
     init.burstRandomLoads = 1;
     init.coldRandomFootprint = 32 * kKiB;
     init.phase = ParserPhases::kInitRandtable;
-    addKernel(*w, "init_randtable", iterationsFor(ops / 10, init), init,
-              seed + 1);
+    addKernel(*w, iterationsFor(ops / 10, init), init, seed + 1);
 
     KernelSpec batch;
     batch.codePc = 0x78000;
@@ -352,7 +348,7 @@ makeParser(uint64_t ops, uint64_t seed)
     batch.burstRandomLoads = 2;
     batch.coldRandomFootprint = 384 * kKiB;
     batch.phase = ParserPhases::kBatchProcess;
-    addKernel(*w, "batch_process", iterationsFor(ops * 6 / 10, batch),
+    addKernel(*w, iterationsFor(ops * 6 / 10, batch),
               batch, seed + 2);
     return w;
 }
@@ -371,7 +367,7 @@ makeTwolf(uint64_t ops, uint64_t seed)
     k.burstEvery = 97;
     k.burstRandomLoads = 1;
     k.coldRandomFootprint = 20 * kKiB;
-    addKernel(*w, "place", iterationsFor(ops, k), k, seed);
+    addKernel(*w, iterationsFor(ops, k), k, seed);
     return w;
 }
 
@@ -392,7 +388,7 @@ makeVortex(uint64_t ops, uint64_t seed)
     k.coldStreamFootprint = 256 * kKiB;
     k.burstRandomLoads = 1;
     k.coldRandomFootprint = 48 * kKiB;
-    addKernel(*w, "object_lookup", iterationsFor(ops, k), k, seed);
+    addKernel(*w, iterationsFor(ops, k), k, seed);
     return w;
 }
 
@@ -411,7 +407,7 @@ makeVpr(uint64_t ops, uint64_t seed)
     k.burstEvery = 310;
     k.burstRandomLoads = 1;
     k.coldRandomFootprint = 20 * kKiB;
-    addKernel(*w, "route", iterationsFor(ops, k), k, seed);
+    addKernel(*w, iterationsFor(ops, k), k, seed);
     return w;
 }
 

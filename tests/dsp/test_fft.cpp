@@ -70,8 +70,9 @@ TEST_P(FftSizes, SinePeaksAtItsBin)
     EXPECT_NEAR(std::abs(data[k]), static_cast<double>(n) / 2, 1e-8);
     EXPECT_NEAR(std::abs(data[n - k]), static_cast<double>(n) / 2, 1e-8);
     for (std::size_t i = 0; i < n; ++i) {
-        if (i != k && i != n - k)
+        if (i != k && i != n - k) {
             ASSERT_NEAR(std::abs(data[i]), 0.0, 1e-8) << "bin " << i;
+        }
     }
 }
 

@@ -118,8 +118,9 @@ TEST(EndToEnd, RefreshCoincidentStallsDetectedAtPaperCadence)
 
     // Refresh-coincident stalls last microseconds, not hundreds of ns.
     for (const auto &ev : result.events) {
-        if (ev.kind == profiler::StallKind::RefreshCoincident)
+        if (ev.kind == profiler::StallKind::RefreshCoincident) {
             EXPECT_GT(ev.durationNs, 1200.0);
+        }
     }
 }
 

@@ -3,7 +3,8 @@
  * CRC32C unit tests: known-answer vectors, incremental equivalence,
  * the error-detection property the container leans on (any
  * single-byte change flips the CRC), and agreement between the
- * portable and SSE4.2 implementations behind crc32c().
+ * portable and SSE4.2 implementations behind crc32c(), across the
+ * SSE4.2 kernel's three-stream rounds.
  */
 
 #include <gtest/gtest.h>
@@ -84,22 +85,47 @@ TEST(Crc32c, PortableAndSse42PathsAgree)
         }
     }
 
-    // Every split point of 1 KiB, each half on either path.
-    const uint8_t *p = arena.data() + 3;
-    const std::size_t n = 1024;
-    const uint32_t whole = detail::crc32cPortable(0, p, n);
-    for (std::size_t split = 0; split <= n; ++split) {
-        const uint32_t hw_head = detail::crc32cSse42(0, p, split);
-        const uint32_t sw_head = detail::crc32cPortable(0, p, split);
-        ASSERT_EQ(detail::crc32cSse42(hw_head, p + split, n - split),
-                  whole)
-            << "split " << split;
-        ASSERT_EQ(detail::crc32cPortable(hw_head, p + split, n - split),
-                  whole)
-            << "split " << split;
-        ASSERT_EQ(detail::crc32cSse42(sw_head, p + split, n - split),
-                  whole)
-            << "split " << split;
+    // Across the three-stream round boundaries: every length from one
+    // below to eight above one and two rounds, at every alignment.
+    constexpr std::size_t kRound = 3 * detail::kCrc32cLane;
+    std::vector<uint8_t> rounds(2 * kRound + 16);
+    for (std::size_t i = 0; i < rounds.size(); ++i)
+        rounds[i] = static_cast<uint8_t>((i * 2654435761u) >> 13);
+    for (std::size_t shift = 0; shift < 8; ++shift) {
+        const uint8_t *p = rounds.data() + shift;
+        for (const std::size_t k : {1u, 2u}) {
+            for (std::size_t len = k * kRound - 1; len <= k * kRound + 8;
+                 ++len) {
+                ASSERT_EQ(detail::crc32cSse42(0, p, len),
+                          detail::crc32cPortable(0, p, len))
+                    << "len " << len << " shift " << shift;
+                ASSERT_EQ(detail::crc32cSse42(0xDEADBEEFu, p, len),
+                          detail::crc32cPortable(0xDEADBEEFu, p, len))
+                    << "len " << len << " shift " << shift;
+            }
+        }
+    }
+
+    // Every split point of 1 KiB, and of two rounds and a tail (so
+    // either half may hold a round, a partial round or none), each half
+    // on either path.
+    for (const std::size_t n : {std::size_t{1024}, 2 * kRound + 8}) {
+        const uint8_t *p = rounds.data() + 3;
+        const uint32_t whole = detail::crc32cPortable(0, p, n);
+        for (std::size_t split = 0; split <= n; ++split) {
+            const uint32_t hw_head = detail::crc32cSse42(0, p, split);
+            const uint32_t sw_head = detail::crc32cPortable(0, p, split);
+            ASSERT_EQ(detail::crc32cSse42(hw_head, p + split, n - split),
+                      whole)
+                << "n " << n << " split " << split;
+            ASSERT_EQ(
+                detail::crc32cPortable(hw_head, p + split, n - split),
+                whole)
+                << "n " << n << " split " << split;
+            ASSERT_EQ(detail::crc32cSse42(sw_head, p + split, n - split),
+                      whole)
+                << "n " << n << " split " << split;
+        }
     }
 #endif
 }

@@ -9,6 +9,11 @@
  * both accept, bit-identical samples.  Payloads and outputs live in
  * exact-size heap buffers, so under ASan/UBSan any read past the
  * payload or write past the declared count is caught as well.
+ *
+ * The UnpackKernels cases go one layer down, to the miniblock
+ * unpackers behind decodeChunk (chunk_codec_detail.hpp): the scalar
+ * loop and, where the build and CPU have it, the AVX2 kernel, each
+ * held to the oracle block by block.
  */
 
 #include <gtest/gtest.h>
@@ -22,12 +27,13 @@
 #include "decode_oracle.hpp"
 #include "dsp/rng.hpp"
 #include "store/chunk_codec.hpp"
+#include "store/chunk_codec_detail.hpp"
 
 namespace emprof::store {
 namespace {
 
-constexpr std::size_t kMiniblock = 128;
-constexpr unsigned kMaxWidth = 40;
+using detail::kMaxWidth;
+using detail::kMiniblock;
 
 uint64_t
 zigzag(int64_t d)
@@ -86,11 +92,13 @@ agree(const std::vector<uint8_t> &payload, ChunkEncoding encoding,
 /**
  * Lay @p values out as a DeltaPacked payload: the first value verbatim,
  * then each miniblock's zig-zag deltas at @p width bits, or at the
- * block's minimal width when @p width is negative.  Values need not be
- * in range: that is how the out-of-range cases are made.
+ * block's minimal width when @p width is negative.  Block b takes
+ * @p widths[b] instead when given.  Values need not be in range: that
+ * is how the out-of-range cases are made.
  */
 std::vector<uint8_t>
-packValues(const std::vector<int64_t> &values, int width = -1)
+packValues(const std::vector<int64_t> &values, int width = -1,
+           const std::vector<unsigned> &widths = {})
 {
     std::vector<uint8_t> out(8);
     const auto first = static_cast<uint64_t>(values.at(0));
@@ -100,7 +108,9 @@ packValues(const std::vector<int64_t> &values, int width = -1)
         uint64_t worst = 0;
         for (std::size_t i = g; i < g + n; ++i)
             worst |= zigzag(values[i] - values[i - 1]);
-        const auto w = width >= 0
+        const std::size_t block = g / kMiniblock;
+        const auto w = block < widths.size() ? widths[block]
+                       : width >= 0
                            ? static_cast<unsigned>(width)
                            : static_cast<unsigned>(std::bit_width(worst));
         out.push_back(static_cast<uint8_t>(w));
@@ -488,6 +498,166 @@ TEST(DecodeDifferential, SeededPayloadMutationsAgree)
     // Both verdicts must actually be exercised.
     EXPECT_GT(accepted_count, std::size_t{kMutations / 50});
     EXPECT_GT(rejected_count, std::size_t{kMutations / 2});
+}
+
+// ------------------------------------------------------ the block kernels
+
+/** The unpackers this build and CPU have. */
+std::vector<std::pair<const char *, detail::UnpackFn>>
+unpackers()
+{
+    std::vector<std::pair<const char *, detail::UnpackFn>> out = {
+        {"scalar", detail::unpackBlockScalar}};
+#if !defined(EMPROF_DISABLE_SIMD)
+    if (detail::unpackAvx2Available())
+        out.emplace_back("avx2", detail::unpackBlockAvx2);
+#endif
+    return out;
+}
+
+/**
+ * Unpack the one miniblock of packValues(@p values) with every
+ * unpacker, each from an exact-size copy of its packed bytes plus
+ * kUnpackSlack bytes of 0xFF (which must not leak into a value), and
+ * hold each to the oracle: the same verdict and, when it accepts, the
+ * same samples and final running value.
+ */
+::testing::AssertionResult
+unpackersAgree(const std::vector<int64_t> &values, unsigned width,
+               SampleCodec codec, float scale, bool *accepted = nullptr)
+{
+    const std::size_t n = values.size() - 1;
+    const auto payload = packValues(values, static_cast<int>(width));
+    std::vector<dsp::Sample> want(values.size());
+    const bool w = oracle::decodeChunk(payload.data(), payload.size(),
+                                       ChunkEncoding::DeltaPacked, codec,
+                                       scale, values.size(), want.data());
+    const std::size_t bytes = payload.size() - 9;
+    for (const auto &[name, unpack] : unpackers()) {
+        const auto block =
+            std::make_unique<uint8_t[]>(bytes + detail::kUnpackSlack);
+        std::memcpy(block.get(), payload.data() + 9, bytes);
+        std::memset(block.get() + bytes, 0xFF, detail::kUnpackSlack);
+        auto prev = static_cast<uint64_t>(values[0]);
+        std::vector<dsp::Sample> got(n);
+        const bool g =
+            unpack(block.get(), width, n, codec, scale, prev, got.data()) ==
+            0;
+        if (g != w)
+            return ::testing::AssertionFailure()
+                   << name << " verdict " << g << ", oracle " << w
+                   << " (width " << width << ", n " << n << ")";
+        if (g && (std::memcmp(got.data(), want.data() + 1,
+                              n * sizeof(dsp::Sample)) != 0 ||
+                  prev != static_cast<uint64_t>(values.back())))
+            return ::testing::AssertionFailure()
+                   << name << " samples differ (width " << width << ", n "
+                   << n << ")";
+    }
+    if (accepted != nullptr)
+        *accepted = w;
+    return ::testing::AssertionSuccess();
+}
+
+/** Block sizes ≡ 0-3 (mod 4), twice, and the last four below a full
+ *  block: a vector pair, a lone group and every scalar tail. */
+constexpr std::size_t kBlockSizes[] = {1, 2, 3, 4, 5, 6, 7, 8,
+                                       125, 126, 127, 128};
+
+TEST(UnpackKernels, EveryWidthAndBlockSizeMatchTheOracle)
+{
+    dsp::Rng rng(4096);
+    for (const SampleCodec codec : kCodecs) {
+        const float scale = codec == SampleCodec::F32 ? 1.0f : 0.003f;
+        for (unsigned width = 0; width <= kMaxWidth; ++width) {
+            for (const std::size_t n : kBlockSizes) {
+                bool accepted = false;
+                ASSERT_TRUE(unpackersAgree(walk(codec, n + 1, width, rng),
+                                           width, codec, scale, &accepted));
+                EXPECT_TRUE(accepted) << "width " << width << " n " << n;
+            }
+            // Whole chunks whose last block holds each of those sizes.
+            for (const std::size_t n : kBlockSizes) {
+                const std::size_t count = 1 + kMiniblock + n;
+                bool accepted = false;
+                ASSERT_TRUE(agree(packValues(walk(codec, count, width, rng),
+                                             static_cast<int>(width)),
+                                  ChunkEncoding::DeltaPacked, codec, scale,
+                                  count, &accepted))
+                    << "width " << width << " count " << count;
+                EXPECT_TRUE(accepted);
+            }
+        }
+    }
+}
+
+TEST(UnpackKernels, OutOfRangeInEachLaneAndTheScalarTail)
+{
+    // 127 values: 15 vector pairs, a lone group at 120-123 and a scalar
+    // tail at 124-126.  One value steps out of range and the next steps
+    // back in, so only a test of every value sees it.  Width 35 starts
+    // each pair's second group at bit 4; 40 is the widest.
+    dsp::Rng rng(11);
+    constexpr std::size_t kPositions[] = {0,   1,   2,   3,   4,   5,
+                                          6,   7,   60,  61,  62,  63,
+                                          120, 121, 122, 123, 124, 125,
+                                          126};
+    for (const SampleCodec codec : kCodecs) {
+        for (const unsigned width : {35u, 40u}) {
+            for (const int64_t bad :
+                 {lowest(codec) - 1, highest(codec) + 1}) {
+                for (const std::size_t at : kPositions) {
+                    auto values = walk(codec, 128, width, rng);
+                    values[1 + at] = bad;
+                    bool accepted = true;
+                    ASSERT_TRUE(unpackersAgree(values, width, codec, 1.0f,
+                                               &accepted))
+                        << "value " << bad << " at " << at;
+                    EXPECT_FALSE(accepted) << "value " << bad << " at " << at;
+                }
+            }
+        }
+    }
+}
+
+TEST(UnpackKernels, BlocksEndingUpTo40BytesBeforeThePayloadEnd)
+{
+    // A full block at `width`, then a last block of `gap` bytes (a width
+    // byte and gap - 1 packed bytes at width 8; a width-0 block for a
+    // gap of 1), so the full block ends `gap` bytes before the end.
+    // decodeChunk must switch to its padded copy below 32; the payloads
+    // sit in exact-size buffers, so under ASan a load past one fails.
+    dsp::Rng rng(40);
+    for (const SampleCodec codec : kCodecs) {
+        for (const unsigned width : {1u, 7u, 20u, 33u, 40u}) {
+            for (std::size_t gap = 0; gap <= 40; ++gap) {
+                const std::size_t last =
+                    gap == 0 ? 0 : gap == 1 ? 5 : gap - 1;
+                const unsigned last_width = gap == 1 ? 0 : 8;
+                const std::size_t count = 1 + kMiniblock + last;
+                auto values = walk(codec, count, width, rng);
+                // The last block steps by one towards the middle of the
+                // range and back (by zero at width 0).
+                const int64_t base = values[kMiniblock];
+                const int64_t step =
+                    last_width == 0
+                        ? 0
+                        : base > (lowest(codec) + highest(codec)) / 2 ? -1
+                                                                      : 1;
+                for (std::size_t i = 0; i < last; ++i)
+                    values[1 + kMiniblock + i] = base + (i % 2 == 0 ? step : 0);
+                const auto payload =
+                    packValues(values, -1, {width, last_width});
+                ASSERT_EQ(payload.size(),
+                          8 + 1 + (kMiniblock * width + 7) / 8 + gap);
+                bool accepted = false;
+                ASSERT_TRUE(agree(payload, ChunkEncoding::DeltaPacked,
+                                  codec, 1.0f, count, &accepted))
+                    << "width " << width << " gap " << gap;
+                EXPECT_TRUE(accepted) << "width " << width << " gap " << gap;
+            }
+        }
+    }
 }
 
 } // namespace

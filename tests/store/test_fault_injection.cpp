@@ -266,7 +266,7 @@ TEST(FaultInjection, WriterFaultAtEveryByteFailsCleanOrRecovers)
             ASSERT_TRUE(reader.readAll(salvaged, &rec_error))
                 << "trigger=" << trigger << ": " << rec_error;
             ASSERT_EQ(salvaged.samples.size(), report.salvagedSamples);
-            if (!salvaged.samples.empty())
+            if (!salvaged.samples.empty()) {
                 ASSERT_EQ(
                     std::memcmp(salvaged.samples.data(),
                                 series.samples.data(),
@@ -274,6 +274,7 @@ TEST(FaultInjection, WriterFaultAtEveryByteFailsCleanOrRecovers)
                                     sizeof(float)),
                     0)
                     << "trigger=" << trigger;
+            }
         }
     }
     std::remove(path.c_str());
@@ -392,8 +393,9 @@ TEST(FaultInjection, LoadSignalEveryTruncationIsATypedError)
     for (uint64_t len = 0; len < size; ++len) {
         std::FILE *f = std::fopen(cut.c_str(), "wb");
         ASSERT_NE(f, nullptr);
-        if (len > 0)
+        if (len > 0) {
             ASSERT_EQ(std::fwrite(bytes.data(), 1, len, f), len);
+        }
         std::fclose(f);
 
         dsp::TimeSeries out;

@@ -76,8 +76,9 @@ writeFile(const std::string &path, const uint8_t *data, std::size_t len)
 {
     std::FILE *f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    if (len > 0)
+    if (len > 0) {
         ASSERT_EQ(std::fwrite(data, 1, len, f), len);
+    }
     ASSERT_EQ(std::fclose(f), 0);
 }
 
@@ -157,12 +158,13 @@ TEST(Recovery, EveryByteTruncationSalvagesCleanPrefixOrFailsCleanly)
         ASSERT_TRUE(reader.readAll(salvaged, &rec_error))
             << "len=" << len << ": " << rec_error;
         ASSERT_EQ(salvaged.samples.size(), expect_samples);
-        if (expect_samples > 0)
+        if (expect_samples > 0) {
             EXPECT_EQ(std::memcmp(salvaged.samples.data(),
                                   series.samples.data(),
                                   expect_samples * sizeof(float)),
                       0)
                 << "len=" << len;
+        }
     }
     std::remove(path.c_str());
     std::remove(trunc_path.c_str());

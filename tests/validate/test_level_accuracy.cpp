@@ -47,7 +47,7 @@ class StreamWorkload : public workloads::SegmentedWorkload
         workloads::StreamAddresses stream(0x4000'0000,
                                           64ull * 1024 * 1024);
         addSegment(
-            "stream", lines,
+            lines,
             [stream, work_ops](std::vector<workloads::MicroOp> &out,
                                uint64_t) mutable {
                 // Fixed PCs per iteration — the loop body a stride
