@@ -52,11 +52,12 @@ parseEndpoint(const std::string &spec, Endpoint &out,
                             spec + "'");
         out.tcp = true;
         out.host = rest.substr(0, colon);
-        try {
-            out.port = std::stoi(rest.substr(colon + 1));
-        } catch (...) {
+        // Digits only: stoi alone reads "1x", " 1", "+1" and "1.5" as 1.
+        const std::string port = rest.substr(colon + 1);
+        if (port.size() > 5 ||
+            port.find_first_not_of("0123456789") != std::string::npos)
             return fail(error, "bad tcp port in '" + spec + "'");
-        }
+        out.port = std::stoi(port);
         if (out.port <= 0 || out.port > 65535)
             return fail(error, "tcp port out of range in '" + spec +
                                    "'");

@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <set>
 
-#include "serve/chaos.hpp"
 #include "store/crc32c.hpp"
 
 namespace emprof::serve {
@@ -286,9 +285,6 @@ ResultSpool::append(const SessionId &id, uint32_t status,
                     const std::vector<uint8_t> &reportPayload,
                     std::string *error)
 {
-    if (ChaosInjector::stealSpoolAppend())
-        return fail(error, "spool append failed: no space left on "
-                           "device (injected)");
     std::lock_guard<std::mutex> lock(mutex_);
     if (!appendRecordLocked(SpoolRecordKind::Result, id, status,
                             reportPayload, error))

@@ -5,7 +5,8 @@
  * oversize payloads).  The wire format is the server's outermost
  * attack surface, so every rejection here must be a typed error —
  * parseFrame returning negative with a reason — never a crash or a
- * silently mis-framed stream.
+ * silently mis-framed stream.  Endpoint.* holds the endpoint spec
+ * parser every tool's --listen/--to/--push/--scrape/--healthz uses.
  */
 
 #include <cmath>
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "serve/client.hpp"
 #include "serve/frame.hpp"
 
 using namespace emprof;
@@ -282,4 +284,47 @@ TEST(Frame, HealthFrameTypesAreValidV4Types)
     ASSERT_EQ(frame.payload.size(), 1u);
     EXPECT_EQ(frame.payload[0],
               static_cast<uint8_t>(HealthState::Backoff));
+}
+
+TEST(Endpoint, ParsesUnixTcpAndBarePathsAndRefusesBadPorts)
+{
+    struct Case
+    {
+        const char *spec;
+        bool ok;
+        bool tcp;
+        const char *where; ///< unix path or tcp host
+        int port;
+    };
+    const Case cases[] = {
+        {"unix:/p", true, false, "/p", 0},
+        {"/run/emprof.sock", true, false, "/run/emprof.sock", 0},
+        {"tcp:127.0.0.1:7600", true, true, "127.0.0.1", 7600},
+        {"tcp:localhost:65535", true, true, "localhost", 65535},
+        {"", false, false, "", 0},
+        {"unix:", false, false, "", 0},
+        {"tcp:127.0.0.1", false, false, "", 0},
+        {"tcp::80", false, false, "", 0},
+        {"tcp:127.0.0.1:0", false, false, "", 0},
+        {"tcp:127.0.0.1:65536", false, false, "", 0},
+        {"tcp:127.0.0.1:1x", false, false, "", 0},
+        {"tcp:127.0.0.1: 1", false, false, "", 0},
+        {"tcp:127.0.0.1:+1", false, false, "", 0},
+        {"tcp:127.0.0.1:1.5", false, false, "", 0},
+    };
+    for (const Case &c : cases) {
+        serve::Endpoint ep;
+        std::string error;
+        ASSERT_EQ(serve::parseEndpoint(c.spec, ep, &error), c.ok)
+            << "'" << c.spec << "': " << error;
+        if (!c.ok) {
+            EXPECT_FALSE(error.empty()) << c.spec;
+            continue;
+        }
+        EXPECT_EQ(ep.tcp, c.tcp) << c.spec;
+        EXPECT_EQ(c.tcp ? ep.host : ep.unixPath, c.where) << c.spec;
+        if (c.tcp) {
+            EXPECT_EQ(ep.port, c.port) << c.spec;
+        }
+    }
 }

@@ -11,20 +11,26 @@
  * ENOSPC degrading to non-durable serving; the one-byte healthz
  * probe; and the strict-no-op guarantee that a default-configured
  * server stays exactly as defenseless as before.  Runs under TSan in
- * CI alongside the rest of test_serve.
+ * CI alongside the rest of test_serve.  The sheds that only a timing
+ * reaches are seeded schedules in test_schedule.cpp.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
-#include "serve/chaos.hpp"
+#include "common/io/fault_injection.hpp"
+#include "hostile_client.hpp"
 #include "serve/governor.hpp"
 #include "serve_support.hpp"
 
@@ -74,6 +80,52 @@ class HeldSession
     int fd_ = -1;
     bool opened_ = false;
     SessionId id_{};
+};
+
+/** Fill this process's descriptor table: lower the RLIMIT_NOFILE soft
+ *  limit just above the highest open fd and open /dev/null until
+ *  EMFILE.  Undoes both on scope exit. */
+class ScopedFdExhaustion
+{
+  public:
+    ScopedFdExhaustion()
+    {
+        ::getrlimit(RLIMIT_NOFILE, &saved_);
+        int highest = 0;
+        for (const auto &entry :
+             std::filesystem::directory_iterator("/proc/self/fd"))
+            highest = std::max(highest,
+                               std::stoi(entry.path().filename().string()));
+        rlimit lowered = saved_;
+        lowered.rlim_cur = static_cast<rlim_t>(highest) + 8;
+        ::setrlimit(RLIMIT_NOFILE, &lowered);
+        for (int fd; (fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC)) >= 0;)
+            fillers_.push_back(fd);
+    }
+
+    ~ScopedFdExhaustion()
+    {
+        for (const int fd : fillers_)
+            ::close(fd);
+        ::setrlimit(RLIMIT_NOFILE, &saved_);
+    }
+
+    ScopedFdExhaustion(const ScopedFdExhaustion &) = delete;
+    ScopedFdExhaustion &operator=(const ScopedFdExhaustion &) = delete;
+
+    /** Give one descriptor back (for the probe's own socket). */
+    void
+    freeOne()
+    {
+        ::close(fillers_.back());
+        fillers_.pop_back();
+    }
+
+    bool full() const { return !fillers_.empty(); }
+
+  private:
+    rlimit saved_{};
+    std::vector<int> fillers_;
 };
 
 } // namespace
@@ -150,7 +202,8 @@ TEST(Governor, BackoffHintScalesFromBaseToMax)
 }
 
 // ---------------------------------------------------------------------
-// Time-domain protection: idle, deadline, rate floor
+// Time-domain protection: one idle shed end to end (the deadline,
+// rate-floor and torn-frame sheds are schedules in test_schedule.cpp)
 // ---------------------------------------------------------------------
 
 TEST(Overload, IdleStallIsShedTypedAndResumesBitIdentically)
@@ -191,130 +244,10 @@ TEST(Overload, IdleStallIsShedTypedAndResumesBitIdentically)
         << "resume-after-idle-shed";
 }
 
-TEST(Overload, TornFrameStallIsShedTyped)
-{
-    const auto bytes = goldenCapture();
-    ASSERT_FALSE(bytes.empty());
-
-    ServerConfig config;
-    config.idleTimeoutSeconds = 0.3;
-    ServerFixture fixture(config);
-
-    StallOptions stall;
-    stall.tornFrame = true; // header + half the payload, then nothing
-    stall.giveUpAfterMs = 8000;
-    const HostileOutcome outcome = runHostileSession(
-        fixture.endpoint(), bytes.data(), bytes.size(), stall);
-    ASSERT_TRUE(outcome.opened);
-    ASSERT_TRUE(outcome.typedError);
-    EXPECT_EQ(static_cast<uint32_t>(outcome.code),
-              static_cast<uint32_t>(ErrorCode::IdleTimeout))
-        << outcome.message;
-}
-
-TEST(Overload, DeadlineBindsEvenWhileProgressIsBeingMade)
-{
-    const auto bytes = goldenCapture();
-    ASSERT_FALSE(bytes.empty());
-
-    ServerConfig config;
-    config.sessionDeadlineSeconds = 0.4; // no idle/rate floor: the
-    ServerFixture fixture(config);       // trickle IS progress
-
-    StallOptions trickle;
-    trickle.trickleBytes = 16;
-    trickle.trickleIntervalMs = 50;
-    trickle.giveUpAfterMs = 8000;
-    const HostileOutcome outcome = runHostileSession(
-        fixture.endpoint(), bytes.data(), bytes.size(), trickle);
-    ASSERT_TRUE(outcome.opened);
-    ASSERT_TRUE(outcome.typedError);
-    EXPECT_EQ(static_cast<uint32_t>(outcome.code),
-              static_cast<uint32_t>(ErrorCode::IdleTimeout))
-        << outcome.message;
-    EXPECT_NE(outcome.message.find("deadline"), std::string::npos)
-        << outcome.message;
-    EXPECT_GE(fixture.server().stats().sessionsTimedOut, 1u);
-}
-
-TEST(Overload, SlowLorisTrickleIsShedByTheRateFloor)
-{
-    const auto bytes = goldenCapture();
-    ASSERT_FALSE(bytes.empty());
-
-    ServerConfig config;
-    config.minRateBytesPerSec = 64 * 1024; // trickle is ~320 B/s
-    config.minRateWindowSeconds = 0.4;
-    ServerFixture fixture(config);
-
-    StallOptions loris;
-    loris.trickleBytes = 16;
-    loris.trickleIntervalMs = 50;
-    loris.giveUpAfterMs = 8000;
-    const HostileOutcome outcome = runHostileSession(
-        fixture.endpoint(), bytes.data(), bytes.size(), loris);
-    ASSERT_TRUE(outcome.opened);
-    ASSERT_TRUE(outcome.typedError)
-        << "a trickler below the floor must be shed";
-    EXPECT_EQ(static_cast<uint32_t>(outcome.code),
-              static_cast<uint32_t>(ErrorCode::IdleTimeout))
-        << outcome.message;
-    EXPECT_NE(outcome.message.find("rate"), std::string::npos)
-        << outcome.message;
-}
-
 // ---------------------------------------------------------------------
-// Admission control and load shedding
+// Admission control and fd exhaustion (the watermark sheds are
+// schedules in test_schedule.cpp)
 // ---------------------------------------------------------------------
-
-TEST(Overload, SoftWatermarkAnswersFreshOpensWithRetryAfter)
-{
-    ServerConfig config;
-    config.watermarks.softSessions = 1;
-    config.watermarks.retryAfterBaseMs = 100;
-    config.watermarks.retryAfterMaxMs = 400;
-    ServerFixture fixture(config);
-
-    HeldSession holder(fixture.endpoint());
-    ASSERT_TRUE(holder.opened());
-
-    // The healthz probe flips to Backoff within a tick or two — and
-    // answering it must not itself open a session.
-    bool backoff = false;
-    for (int i = 0; i < 2000 && !backoff; ++i) {
-        HealthState state = HealthState::Live;
-        std::string error;
-        ASSERT_TRUE(
-            Client::health(fixture.endpoint(), state, &error))
-            << error;
-        backoff = state == HealthState::Backoff;
-        if (!backoff)
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    EXPECT_TRUE(backoff);
-
-    // A fresh Open is told RetryAfter with a server-sized hint.
-    Client client;
-    std::string error;
-    ASSERT_TRUE(client.connect(fixture.endpoint(), &error)) << error;
-    OpenRequest open{};
-    SessionId id{};
-    uint64_t offset = 0;
-    SessionState state = SessionState::Fresh;
-    ErrorCode code = ErrorCode::Internal;
-    uint32_t hintMs = 0;
-    EXPECT_FALSE(client.openSession(open, id, offset, state, &code,
-                                    &error, nullptr, &hintMs));
-    EXPECT_EQ(static_cast<uint32_t>(code),
-              static_cast<uint32_t>(ErrorCode::RetryAfter))
-        << error;
-    EXPECT_GE(hintMs, 100u);
-    EXPECT_LE(hintMs, 400u);
-    EXPECT_TRUE(fixture.waitFor([](const ServerStats &s) {
-        return s.retryAfterSent >= 1;
-    }));
-    EXPECT_EQ(fixture.server().stats().sessionsAborted, 0u);
-}
 
 TEST(Overload, PushResumableHonorsTheRetryAfterHint)
 {
@@ -353,66 +286,6 @@ TEST(Overload, PushResumableHonorsTheRetryAfterHint)
         << "push-through-retry-after";
 }
 
-TEST(Overload, HardWatermarkShedsTheMostStalledSessionFirst)
-{
-    const auto bytes = goldenCapture();
-    ASSERT_FALSE(bytes.empty());
-    const auto expected = loadExpected();
-
-    ServerConfig config;
-    config.watermarks.hardSessions = 2;
-    config.watermarks.retryAfterBaseMs = 100;
-    ServerFixture fixture(config);
-
-    // Session A: opens first, then stalls — the shed candidate.
-    HostileOutcome outcomeA;
-    std::thread hostile([&] {
-        StallOptions stall;
-        stall.giveUpAfterMs = 8000;
-        outcomeA = runHostileSession(fixture.endpoint(), bytes.data(),
-                                     bytes.size(), stall);
-    });
-    ASSERT_TRUE(fixture.waitFor([](const ServerStats &s) {
-        return s.sessionsAccepted >= 1;
-    }));
-
-    // Session B: opens second but keeps sending — over the hard line
-    // the governor must shed A (older last-progress), not B.
-    Client clientB;
-    std::string error;
-    ASSERT_TRUE(clientB.connect(fixture.endpoint(), &error)) << error;
-    OpenRequest open{};
-    SessionId idB{};
-    uint64_t offset = 0;
-    SessionState state = SessionState::Fresh;
-    ASSERT_TRUE(clientB.openSession(open, idB, offset, state, nullptr,
-                                    &error))
-        << error;
-    const std::size_t step = bytes.size() / 8 + 1;
-    for (std::size_t off = 0; off < bytes.size(); off += step) {
-        const std::size_t take = std::min(step, bytes.size() - off);
-        ASSERT_TRUE(clientB.sendData(bytes.data() + off, take, &error))
-            << error;
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-    const PushResult resultB = clientB.finish();
-    hostile.join();
-
-    ASSERT_TRUE(outcomeA.opened);
-    ASSERT_TRUE(outcomeA.typedError)
-        << "the stalled session must be the one shed";
-    EXPECT_EQ(static_cast<uint32_t>(outcomeA.code),
-              static_cast<uint32_t>(ErrorCode::RetryAfter))
-        << outcomeA.message;
-    EXPECT_GE(outcomeA.retryAfterMs, 1u);
-    ASSERT_TRUE(resultB.ok)
-        << "the well-behaved session must be untouched: "
-        << resultB.error;
-    EXPECT_EQ(parity::eventsDiff(expected, resultB.report.events), "")
-        << "survivor-of-hard-shed";
-    EXPECT_GE(fixture.server().stats().sessionsShed, 1u);
-}
-
 TEST(Overload, FdExhaustionOnAcceptAnswersTypedRetryAfter)
 {
     const auto bytes = goldenCapture();
@@ -420,20 +293,25 @@ TEST(Overload, FdExhaustionOnAcceptAnswersTypedRetryAfter)
 
     ServerFixture fixture;
     {
-        ChaosPlan plan;
-        plan.failAccepts = 1; // EMFILE by default
-        ScopedChaosPlan scoped(plan);
-
-        // Our connection sits in the backlog while accept() "fails";
-        // the emergency fd must still pick it up and answer with a
-        // typed RetryAfter instead of letting it starve silently.
+        // The table fills first, so the server cannot accept the probe
+        // before accept() runs out of descriptors; the probe's socket
+        // takes the one slot given back.  accept() then fails with a
+        // real EMFILE, and the emergency fd must still pick the probe
+        // up and answer it with a typed RetryAfter instead of letting
+        // it starve silently.
+        ScopedFdExhaustion exhausted;
+        ASSERT_TRUE(exhausted.full());
+        exhausted.freeOne();
         Client probe;
         std::string error;
-        ASSERT_TRUE(probe.connect(fixture.endpoint(), &error))
-            << error;
+        ASSERT_TRUE(probe.connect(fixture.endpoint(), &error)) << error;
         const int fd = probe.releaseFd();
+        timeval give_up{5, 0};
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &give_up,
+                     sizeof(give_up));
         Frame reply;
         ASSERT_TRUE(readFrame(fd, reply, &error)) << error;
+        ::close(fd);
         ASSERT_EQ(static_cast<uint16_t>(reply.type),
                   static_cast<uint16_t>(FrameType::Error));
         ErrorCode code{};
@@ -447,112 +325,16 @@ TEST(Overload, FdExhaustionOnAcceptAnswersTypedRetryAfter)
         EXPECT_GE(hintMs, 1u);
         EXPECT_NE(message.find("descriptor"), std::string::npos)
             << message;
-        ::close(fd);
-        EXPECT_EQ(ChaosInjector::acceptsStolen(), 1u);
     }
-    // The reply frame is written before the counters are bumped, so
-    // the client can get here first: poll rather than snapshot.
     EXPECT_TRUE(fixture.waitFor([](const ServerStats &s) {
         return s.acceptFdExhausted >= 1 && s.retryAfterSent >= 1;
     }));
+    EXPECT_EQ(fixture.server().stats().acceptFdExhausted, 1u);
 
-    // Recovery: once descriptors are back (chaos disarmed) and the
-    // listener mute lapses, a normal push goes straight through.
+    // Recovery: once descriptors are back and the listener mute
+    // lapses, a normal push goes straight through.
     const PushResult result = pushOnce(fixture.endpoint(), bytes);
     ASSERT_TRUE(result.ok) << result.error;
-}
-
-// ---------------------------------------------------------------------
-// Parked-session lifecycle under churn
-// ---------------------------------------------------------------------
-
-TEST(Overload, ExpiredParkTtlRaceLosesToTheClockAndStartsFresh)
-{
-    const auto bytes = goldenCapture();
-    ASSERT_FALSE(bytes.empty());
-    const auto expected = loadExpected();
-
-    ServerConfig config;
-    config.resumeTtlSeconds = 0.25; // sub-second: the race is real
-    ServerFixture fixture(config);
-
-    const SessionId id =
-        uploadHeadAndDrop(fixture, bytes, bytes.size() / 2);
-    ASSERT_TRUE(fixture.waitFor([](const ServerStats &s) {
-        return s.parkedExpired >= 1;
-    })) << "the parked session never expired";
-
-    // The resume arrives after the TTL ran out: the answer must be a
-    // clean Fresh-from-zero, never a dangling half-session.
-    Client client;
-    std::string error;
-    ASSERT_TRUE(client.connect(fixture.endpoint(), &error)) << error;
-    OpenRequest open{};
-    open.flags = kOpenResume;
-    std::memcpy(open.sessionId, id.data(), id.size());
-    open.resumeFrom = kResumeQuery;
-    SessionId echoed{};
-    uint64_t offset = 77;
-    SessionState state = SessionState::Resumed;
-    ASSERT_TRUE(client.openSession(open, echoed, offset, state,
-                                   nullptr, &error))
-        << error;
-    EXPECT_EQ(static_cast<uint32_t>(state),
-              static_cast<uint32_t>(SessionState::Fresh));
-    EXPECT_EQ(offset, 0u);
-    ASSERT_TRUE(client.sendData(bytes.data(), bytes.size(), &error))
-        << error;
-    const PushResult result = client.finish();
-    ASSERT_TRUE(result.ok) << result.error;
-    EXPECT_EQ(parity::eventsDiff(expected, result.report.events), "")
-        << "fresh-after-ttl-expiry";
-}
-
-TEST(Overload, MaxParkedChurnEvictsTheOldestPark)
-{
-    const auto bytes = goldenCapture();
-    ASSERT_FALSE(bytes.empty());
-    const auto expected = loadExpected();
-
-    ServerConfig config;
-    config.maxParked = 1;
-    ServerFixture fixture(config);
-
-    const SessionId first =
-        uploadHeadAndDrop(fixture, bytes, bytes.size() / 3);
-    const SessionId second =
-        uploadHeadAndDrop(fixture, bytes, bytes.size() / 2);
-    EXPECT_GE(fixture.server().stats().parkedEvicted, 1u);
-
-    // The survivor resumes from its durable offset first (probing the
-    // evicted id would itself open-and-park a fresh session, evicting
-    // the survivor in turn under maxParked = 1)...
-    const PushResult resumed =
-        resumeAndFinish(fixture, bytes, second, false);
-    ASSERT_TRUE(resumed.ok) << resumed.error;
-    EXPECT_EQ(parity::eventsDiff(expected, resumed.report.events), "")
-        << "survivor-of-park-eviction";
-
-    // ...then the evicted (older) session is answered Fresh-from-zero.
-    {
-        Client client;
-        std::string error;
-        ASSERT_TRUE(client.connect(fixture.endpoint(), &error))
-            << error;
-        OpenRequest open{};
-        open.flags = kOpenResume;
-        std::memcpy(open.sessionId, first.data(), first.size());
-        open.resumeFrom = kResumeQuery;
-        SessionId echoed{};
-        uint64_t offset = 1;
-        SessionState state = SessionState::Resumed;
-        ASSERT_TRUE(client.openSession(open, echoed, offset, state,
-                                       nullptr, &error))
-            << error;
-        EXPECT_EQ(static_cast<uint32_t>(state),
-                  static_cast<uint32_t>(SessionState::Fresh));
-        EXPECT_EQ(offset, 0u);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -570,15 +352,18 @@ TEST(Overload, SpoolEnospcDegradesToNonDurableServing)
     ServerFixture fixture(config);
 
     {
-        ChaosPlan plan;
-        plan.failSpoolAppends = 1; // the next append sees ENOSPC
-        ScopedChaosPlan scoped(plan);
+        // The spool's own CheckedFile write is the next file write in
+        // this process: it sees ENOSPC at its first byte.
+        common::io::FaultPlan plan;
+        plan.kind = common::io::FaultPlan::Kind::NoSpace;
+        plan.triggerByte = 0;
+        common::io::ScopedFaultPlan scoped(plan);
         const PushResult result = pushOnce(fixture.endpoint(), bytes);
         // Durability is lost; the REPLY is not.
         ASSERT_TRUE(result.ok) << result.error;
         EXPECT_EQ(parity::eventsDiff(expected, result.report.events), "")
             << "served-despite-enospc";
-        EXPECT_EQ(ChaosInjector::spoolAppendsStolen(), 1u);
+        EXPECT_TRUE(common::io::FaultInjector::fired());
     }
     ServerStats stats = fixture.server().stats();
     EXPECT_EQ(stats.resultsSpoolFailed, 1u);
