@@ -93,7 +93,7 @@ class Client
 
     void close();
 
-    /** Hand the connected fd to the caller (the chaos harness drives
+    /** Hand the connected fd to the caller (the hostile client drives
      *  the socket by hand); the Client forgets it. */
     int releaseFd()
     {

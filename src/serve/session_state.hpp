@@ -2,8 +2,8 @@
  * @file
  * The lifecycle of one served connection, as a pure function: the
  * state and an event go in; the next state, the frame to send and an
- * order for the session's pump come out.  Server::Session carries one
- * SessionState, written only by the I/O thread through advance(); the
+ * order for the session's pump come out.  CoreSession carries one
+ * SessionState, written only by ServerCore::advance(); the
  * state table is in server.hpp and DESIGN.md §14.  No socket, lock or
  * clock is touched, so tests/serve/test_session_lifecycle.cpp drives
  * it with random event sequences.

@@ -53,7 +53,7 @@ using S = lc::SessionState;
 
 // ---------------------------------------------------------------------
 // The model: the transition function plus a pump that behaves like
-// Server::pump (feeds queued Data, takes the Finish entry, obeys stop
+// ServerCore::pump (feeds queued Data, takes the Finish entry, obeys stop
 // orders, posts one completion or goes idle).
 // ---------------------------------------------------------------------
 
