@@ -14,6 +14,59 @@
 
 namespace emprof::profiler {
 
+EventListPool &
+EventListPool::shared()
+{
+    static EventListPool pool;
+    return pool;
+}
+
+std::vector<StallEvent>
+EventListPool::take()
+{
+    std::vector<StallEvent> list;
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        if (!lists_.empty()) {
+            list.swap(lists_.back());
+            lists_.pop_back();
+            bytes_ -= list.capacity() * sizeof(StallEvent);
+        }
+    }
+    if (obs::MetricsRegistry::enabled()) {
+        auto &registry = obs::MetricsRegistry::instance();
+        static const obs::Counter reused =
+            registry.counter("profiler.event_lists_reused");
+        static const obs::Counter fresh =
+            registry.counter("profiler.event_lists_fresh");
+        (list.capacity() != 0 ? reused : fresh).inc();
+    }
+    return list;
+}
+
+void
+EventListPool::give(std::vector<StallEvent> &&list)
+{
+    // A dropped list is freed after the lock is released.
+    std::vector<StallEvent> held = std::move(list);
+    held.clear();
+    const std::size_t bytes = held.capacity() * sizeof(StallEvent);
+    if (bytes == 0)
+        return;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (bytes > kCapBytes - bytes_)
+        return;
+    bytes_ += bytes;
+    lists_.push_back(std::move(held));
+}
+
+std::size_t
+EventListPool::bytes() const
+{
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return bytes_;
+}
+
 bool
 batchPipelineActive()
 {
@@ -67,6 +120,7 @@ analyzeChunkStreaming(const dsp::Sample *data, uint64_t dataBegin,
     ChunkResult r;
     r.begin = begin;
     r.end = end;
+    r.events = EventListPool::shared().take();
 
     const bool resilient = config.signal.enabled;
     const uint64_t halo = std::min<uint64_t>(begin, config.haloSamples());

@@ -973,6 +973,7 @@ analyzeChunkBatchAvx2(const dsp::Sample *data, uint64_t dataBegin,
     ChunkResult r;
     r.begin = begin;
     r.end = end;
+    r.events = EventListPool::shared().take();
 
     // The kernel runs over the chunk's *virtual stream*: halo + body,
     // exactly the samples the streaming reference feeds its fresh

@@ -102,12 +102,12 @@ runTasks(std::size_t workers, std::size_t count, const Run &run)
 /**
  * Sequential tail: feed every range's span results, in range order,
  * through the incremental stitcher (see stitch.hpp), with the event
- * list sized once up front, then quarantine / report.  The serving
- * path drives the same ChunkStitcher one span at a time as uploads
- * arrive.
+ * list sized once up front, then quarantine / report.  Each span's
+ * event list goes back to the pool once fed.  The serving path drives
+ * the same ChunkStitcher one span at a time as uploads arrive.
  */
 ProfileResult
-finalizeChunks(const std::vector<std::vector<ChunkResult>> &ranges,
+finalizeChunks(std::vector<std::vector<ChunkResult>> &ranges,
                const EmProfConfig &config, uint64_t total_samples)
 {
     EMPROF_OBS_STAGE("analyze.stitch");
@@ -117,9 +117,11 @@ finalizeChunks(const std::vector<std::vector<ChunkResult>> &ranges,
         for (const auto &span : spans)
             events += span.events.size() + 1;
     stitcher.reserveEvents(events);
-    for (const auto &spans : ranges)
-        for (const auto &span : spans)
+    for (auto &spans : ranges)
+        for (auto &span : spans) {
             stitcher.feed(span);
+            EventListPool::shared().give(std::move(span.events));
+        }
     return stitcher.finalize(total_samples);
 }
 

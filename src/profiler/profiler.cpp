@@ -147,8 +147,10 @@ EmProf::analyze(const dsp::TimeSeries &magnitude, EmProfConfig config)
         config.sampleRateHz = magnitude.sampleRateHz;
     const uint64_t n = magnitude.samples.size();
     ChunkStitcher stitcher(config);
-    stitcher.feed(detail::analyzeChunkStreaming(
-        magnitude.samples.data(), 0, 0, n, /*is_final=*/true, config));
+    ChunkResult span = detail::analyzeChunkStreaming(
+        magnitude.samples.data(), 0, 0, n, /*is_final=*/true, config);
+    stitcher.feed(span);
+    EventListPool::shared().give(std::move(span.events));
     return stitcher.finalize(n);
 }
 

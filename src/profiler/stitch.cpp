@@ -1,6 +1,11 @@
 #include "profiler/stitch.hpp"
 
 #include <algorithm>
+#include <cstdint>
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
 
 #include "obs/metrics.hpp"
 #include "obs/stage_profiler.hpp"
@@ -37,6 +42,29 @@ ChunkStitcher::ChunkStitcher(const EmProfConfig &config)
       // path relaxes it to compensate for pre-smoother dip widening).
       minDuration_(config.effectiveMinDurationSamples())
 {}
+
+void
+ChunkStitcher::reserveEvents(std::size_t events)
+{
+    events_.reserve(events);
+#if defined(__linux__) && defined(MADV_HUGEPAGE)
+    // The allocator usually maps a list this large on its own and
+    // unmaps it with the result, so every analysis faults it in anew,
+    // one 4 KiB page at a time in the serial stitch.  Advise its
+    // 2 MiB-aligned interior onto huge pages; a failure (THP `never`,
+    // or no THP at all) leaves the list as it was.
+    constexpr std::uintptr_t huge = std::uintptr_t{2} << 20;
+    const std::size_t bytes = events_.capacity() * sizeof(StallEvent);
+    if (bytes < kHugePageAdviceBytes)
+        return;
+    const auto at = reinterpret_cast<std::uintptr_t>(events_.data());
+    const std::uintptr_t first = (at + huge - 1) & ~(huge - 1);
+    const std::uintptr_t last = (at + bytes) & ~(huge - 1);
+    if (last > first)
+        (void)::madvise(reinterpret_cast<void *>(first), last - first,
+                        MADV_HUGEPAGE);
+#endif
+}
 
 bool
 ChunkStitcher::emitCarry()

@@ -52,8 +52,11 @@ SessionPipeline::analyzeSpan(bool closing)
             "emprof.serve.stage.analyze_span_us");
     const auto t0 = std::chrono::steady_clock::now();
 
-    stitcher_->feed(closing ? window_->close(/*is_final=*/true)
-                            : window_->analyzeNextSpan());
+    profiler::ChunkResult span = closing
+                                     ? window_->close(/*is_final=*/true)
+                                     : window_->analyzeNextSpan();
+    stitcher_->feed(span);
+    profiler::EventListPool::shared().give(std::move(span.events));
 
     if (obs::MetricsRegistry::enabled())
         span_hist.observe(static_cast<uint64_t>(
