@@ -136,16 +136,18 @@ struct Timing
 {
     Quartiles seconds;        ///< steady clock
     Quartiles cpuSeconds;     ///< CPU time of the whole process
+    Quartiles sysSeconds;     ///< of which in the kernel (ru_stime)
     double minorFaults = 0.0; ///< median per timed run, whole process
 };
 
 /**
  * Run @p warmUp once untimed, then @p body @p runs (>= 1) times, each
- * timed on the steady clock and on the process CPU clock.  A run on
- * the calling thread alone reads about the same on both on a quiet
- * host; other processes on the host stretch only the steady clock.  Metrics
- * and tracing are off throughout, so the numbers measure the program,
- * not its instrumentation.
+ * timed on the steady clock and on the process CPU clock, with the
+ * process's system time and minor page faults beside them.  A run on
+ * the calling thread alone reads about the same on both clocks on a
+ * quiet host; other processes on the host stretch only the steady
+ * clock.  Metrics and tracing are off throughout, so the numbers
+ * measure the program, not its instrumentation.
  */
 template <typename WarmUp, typename Body>
 Timing
@@ -153,10 +155,14 @@ timeRuns(std::size_t runs, WarmUp &&warmUp, Body &&body)
 {
     obs::MetricsRegistry::setEnabled(false);
     obs::Tracer::setEnabled(false);
-    const auto minorFaults = [] {
+    const auto usageNow = [] {
         rusage usage{};
         getrusage(RUSAGE_SELF, &usage);
-        return static_cast<double>(usage.ru_minflt);
+        return usage;
+    };
+    const auto sysSeconds = [](const rusage &usage) {
+        return static_cast<double>(usage.ru_stime.tv_sec) +
+               1e-6 * static_cast<double>(usage.ru_stime.tv_usec);
     };
     const auto cpuNow = [] {
         timespec ts{};
@@ -164,19 +170,22 @@ timeRuns(std::size_t runs, WarmUp &&warmUp, Body &&body)
         return static_cast<double>(ts.tv_sec) + 1e-9 * ts.tv_nsec;
     };
     warmUp();
-    std::vector<double> seconds, cpu, faults;
+    std::vector<double> seconds, cpu, sys, faults;
     for (std::size_t r = 0; r < runs; ++r) {
-        const double faults0 = minorFaults();
+        const rusage usage0 = usageNow();
         const double cpu0 = cpuNow();
         const auto t0 = std::chrono::steady_clock::now();
         body();
         const auto t1 = std::chrono::steady_clock::now();
         cpu.push_back(cpuNow() - cpu0);
-        faults.push_back(minorFaults() - faults0);
+        const rusage usage1 = usageNow();
+        sys.push_back(sysSeconds(usage1) - sysSeconds(usage0));
+        faults.push_back(
+            static_cast<double>(usage1.ru_minflt - usage0.ru_minflt));
         seconds.push_back(std::chrono::duration<double>(t1 - t0).count());
     }
     return {quartiles(std::move(seconds)), quartiles(std::move(cpu)),
-            quartiles(std::move(faults)).median};
+            quartiles(std::move(sys)), quartiles(std::move(faults)).median};
 }
 
 /** One JSON object, fields in insertion order.  text(false) writes it

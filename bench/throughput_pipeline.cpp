@@ -21,13 +21,15 @@
  *    of the capture (the copy is inside the timed run).
  *
  * Each row: an untimed warm-up on a capture an eighth the size, N timed
- * runs (median and quartiles of `seconds`, the wall clock, and of
- * `cpu_seconds`, the process CPU clock).  Each analysis row adds an
- * instrumented pass for its stage breakdown and `chunk_overlap`
- * (harness.hpp), and the rows of one configuration, classic or
- * resilient, must agree on the event count.  The temporary captures
- * (bench_pipeline_*.emcap in the working directory) are deleted before
- * exit.
+ * runs (median and quartiles of `seconds`, the wall clock, of
+ * `cpu_seconds`, the process CPU clock, and of `sys_seconds`, its
+ * kernel share, beside the median `minor_faults` per run: faults and
+ * system time are what a re-faulted working set costs).  Each analysis
+ * row adds an instrumented pass for its stage breakdown and
+ * `chunk_overlap` (harness.hpp), and the rows of one configuration,
+ * classic or resilient, must agree on the event count.  The temporary
+ * captures (bench_pipeline_*.emcap in the working directory) are
+ * deleted before exit.
  *
  *   throughput_pipeline [--samples N] [--runs N] [--json PATH]
  */
@@ -143,6 +145,7 @@ main(int argc, char **argv)
                            .add("speedup_vs_streaming", speedup)
                            .add("events", count)
                            .add("minor_faults", t.minorFaults)
+                           .add("sys_seconds", t.sysSeconds)
                            .add("chunk_overlap", seen.chunkOverlap)
                            .add("stages_ns", seen.stagesNs));
     };
@@ -187,7 +190,8 @@ main(int argc, char **argv)
                            .add("seconds", t.seconds)
                            .add("cpu_seconds", t.cpuSeconds)
                            .add("samples_per_sec", total / t.seconds.median)
-                           .add("minor_faults", t.minorFaults));
+                           .add("minor_faults", t.minorFaults)
+                           .add("sys_seconds", t.sysSeconds));
     }
 
     const double overhead_streaming =

@@ -237,6 +237,8 @@ main(int argc, char **argv)
                               .add("path", path)
                               .add("cpu_seconds", t.cpuSeconds)
                               .add("seconds", t.seconds)
+                              .add("minor_faults", t.minorFaults)
+                              .add("sys_seconds", t.sysSeconds)
                               .add(count_key.c_str(),
                                    static_cast<std::size_t>(per))
                               .add(ns_key.c_str(), ns));

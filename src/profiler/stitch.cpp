@@ -52,10 +52,11 @@ ChunkStitcher::reserveEvents(std::size_t events)
     // unmaps it with the result, so every analysis faults it in anew,
     // one 4 KiB page at a time in the serial stitch.  Advise its
     // 2 MiB-aligned interior onto huge pages; a failure (THP `never`,
-    // or no THP at all) leaves the list as it was.
+    // or no THP at all) leaves the list as it was.  A list under 8 MiB
+    // covers at most three huge pages and is left alone.
     constexpr std::uintptr_t huge = std::uintptr_t{2} << 20;
     const std::size_t bytes = events_.capacity() * sizeof(StallEvent);
-    if (bytes < kHugePageAdviceBytes)
+    if (bytes < (std::size_t{8} << 20))
         return;
     const auto at = reinterpret_cast<std::uintptr_t>(events_.data());
     const std::uintptr_t first = (at + huge - 1) & ~(huge - 1);

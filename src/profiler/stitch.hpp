@@ -54,14 +54,10 @@ class ChunkStitcher
      * Size the event list once for @p events events.  A caller holding
      * every chunk result up front passes the sum of their event counts
      * plus one per chunk (each chunk boundary can close a carried dip).
-     * A list of kHugePageAdviceBytes or more is advised onto
-     * transparent huge pages where the platform has them.
+     * A list of 8 MiB or more is advised onto transparent huge pages
+     * where the platform has them.
      */
     void reserveEvents(std::size_t events);
-
-    /** Smallest reserved list reserveEvents() advises onto huge pages. */
-    static constexpr std::size_t kHugePageAdviceBytes = std::size_t{8}
-                                                        << 20;
 
     /** Merge one chunk's result into the running streaming state. */
     void feed(const ChunkResult &chunk);

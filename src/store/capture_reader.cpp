@@ -379,12 +379,17 @@ CaptureReader::verify() const
 }
 
 bool
-CaptureReader::isEmcap(const std::string &path)
+CaptureReader::isEmcap(const std::string &path, std::string *openError)
 {
     common::io::CheckedFile file;
+    if (!file.open(path, common::io::CheckedFile::Mode::Read)) {
+        if (openError != nullptr)
+            *openError =
+                "cannot open " + path + ": " + file.error().describe();
+        return false;
+    }
     char magic[sizeof(kEmcapMagic)] = {};
-    return file.open(path, common::io::CheckedFile::Mode::Read) &&
-           file.preadAt(0, magic, sizeof(magic), "magic", nullptr) &&
+    return file.preadAt(0, magic, sizeof(magic), "magic", nullptr) &&
            std::memcmp(magic, kEmcapMagic, sizeof(magic)) == 0;
 }
 

@@ -154,8 +154,14 @@ class CaptureReader
     /** Re-check every CRC in the file, payloads included. */
     VerifyResult verify() const;
 
-    /** Cheap magic probe: does @p path start with an EMCAP header? */
-    static bool isEmcap(const std::string &path);
+    /**
+     * Cheap magic probe: does @p path start with an EMCAP header?
+     * When the file cannot be opened, @p openError (if non-null) says
+     * why ("cannot open <path>: ..."), so a tool reports a missing
+     * input as such rather than as an unknown format.
+     */
+    static bool isEmcap(const std::string &path,
+                        std::string *openError = nullptr);
 
   private:
     /** Open @p path and pass its file header through the verifier,

@@ -524,8 +524,15 @@ TEST(CaptureStore, IsEmcapProbe)
     ASSERT_NE(f, nullptr);
     std::fputs("not a capture at all", f);
     std::fclose(f);
-    EXPECT_FALSE(CaptureReader::isEmcap(other));
-    EXPECT_FALSE(CaptureReader::isEmcap(tempPath("missing.emcap")));
+    std::string why;
+    EXPECT_FALSE(CaptureReader::isEmcap(other, &why));
+    EXPECT_EQ(why, "") << "a readable file is not an open failure";
+    const auto missing = tempPath("missing.emcap");
+    EXPECT_FALSE(CaptureReader::isEmcap(missing));
+    EXPECT_FALSE(CaptureReader::isEmcap(missing, &why));
+    EXPECT_EQ(why.rfind("cannot open " + missing + ": ", 0), 0u) << why;
+    EXPECT_NE(why.find("No such file or directory"), std::string::npos)
+        << why;
     std::remove(path.c_str());
     std::remove(other.c_str());
 }

@@ -7,7 +7,8 @@
  * config.  These helpers accept a value only if the whole string parses
  * and the result is finite and inside the flag's documented range;
  * anything else prints a diagnostic naming the flag and exits 2 (the
- * usage-error code), before any file is touched.
+ * usage-error code), before any file is touched.  `--help` and `-h`
+ * are the one request every tool answers with its usage and exit 0.
  */
 
 #ifndef EMPROF_TOOLS_CLI_PARSE_HPP
@@ -21,6 +22,13 @@
 #include <cstring>
 
 namespace emprof::tools {
+
+/** True for `--help` and `-h`. */
+inline bool
+isHelp(const char *arg)
+{
+    return std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0;
+}
 
 [[noreturn]] inline void
 badFlag(const char *flag, const char *text, const char *why)

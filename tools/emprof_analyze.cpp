@@ -129,6 +129,10 @@ main(int argc, char **argv)
         usage(argv[0]);
         return 2;
     }
+    if (tools::isHelp(argv[1])) {
+        usage(argv[0]);
+        return 0;
+    }
 
     std::string path = argv[1];
     bool raw_f32 = false, raw_iq = false;
@@ -183,6 +187,10 @@ main(int argc, char **argv)
             events_csv = argText(argc, argv, i);
         else if (arg == "--verbose")
             verbose = true;
+        else if (tools::isHelp(argv[i])) {
+            usage(argv[0]);
+            return 0;
+        }
         else {
             std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
             usage(argv[0]);
@@ -197,6 +205,7 @@ main(int argc, char **argv)
     dsp::TimeSeries signal;
     bool emcap_direct = false;
     bool recovered_capture = false;
+    std::string open_error;
 
     {
     EMPROF_OBS_STAGE("tool.load");
@@ -212,7 +221,8 @@ main(int argc, char **argv)
             std::fprintf(stderr, "%s\n", io_error.describe().c_str());
             return 1;
         }
-    } else if (recover || store::CaptureReader::isEmcap(path)) {
+    } else if (recover ||
+               store::CaptureReader::isEmcap(path, &open_error)) {
         std::string err;
         bool opened;
         if (recover) {
@@ -259,6 +269,9 @@ main(int argc, char **argv)
         } else {
             emcap_direct = true;
         }
+    } else if (!open_error.empty()) {
+        std::fprintf(stderr, "%s\n", open_error.c_str());
+        return 1;
     } else if (dsp::isEmsig(path)) {
         common::io::IoError io_error;
         if (!dsp::loadSignal(path, signal, &io_error)) {

@@ -144,6 +144,10 @@ main(int argc, char **argv)
         else if (arg == "--push-retries")
             push_retries = static_cast<uint32_t>(
                 tools::parseU64Flag("--push-retries", next(), 1, 1000));
+        else if (tools::isHelp(argv[i])) {
+            usage(argv[0]);
+            return 0;
+        }
         else {
             usage(argv[0]);
             return 2;

@@ -347,7 +347,7 @@ main(int argc, char **argv)
         else if (arg == "--status-every")
             status_every_s = tools::parseDurationFlag(
                 "--status-every", argText(argc, argv, i), 0.1, 86400.0);
-        else if (arg == "--help" || arg == "-h") {
+        else if (tools::isHelp(argv[i])) {
             usage(argv[0]);
             return 0;
         }

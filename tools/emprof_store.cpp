@@ -291,6 +291,7 @@ convert(const std::string &in, const std::string &out,
     dsp::TimeSeries series;
     double clock_ghz = opt.clockGhz;
     std::string device = opt.deviceName;
+    std::string open_error;
 
     if (opt.rawF32 || opt.rawIq) {
         if (opt.rateMhz <= 0.0) {
@@ -304,7 +305,7 @@ convert(const std::string &in, const std::string &out,
             std::fprintf(stderr, "%s\n", io_error.describe().c_str());
             return 1;
         }
-    } else if (store::CaptureReader::isEmcap(in)) {
+    } else if (store::CaptureReader::isEmcap(in, &open_error)) {
         store::CaptureReader reader;
         std::string error;
         if (!reader.open(in, &error) || !reader.readAll(series, &error)) {
@@ -316,6 +317,9 @@ convert(const std::string &in, const std::string &out,
             clock_ghz = reader.info().clockHz / 1e9;
         if (device.empty())
             device = reader.info().deviceName;
+    } else if (!open_error.empty()) {
+        std::fprintf(stderr, "%s\n", open_error.c_str());
+        return 1;
     } else if (dsp::isEmsig(in)) {
         common::io::IoError io_error;
         if (!dsp::loadSignal(in, series, &io_error)) {
@@ -596,6 +600,10 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (obs_cli.parseArg(argc, argv, i))
             continue;
+        if (tools::isHelp(argv[i])) {
+            usage(argv[0]);
+            return 0;
+        }
         args.push_back(argv[i]);
     }
     argc = static_cast<int>(args.size());
