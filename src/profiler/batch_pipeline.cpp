@@ -51,7 +51,7 @@ EventListPool::give(std::vector<StallEvent> &&list)
     std::vector<StallEvent> held = std::move(list);
     held.clear();
     const std::size_t bytes = held.capacity() * sizeof(StallEvent);
-    if (bytes == 0)
+    if (bytes == 0 || bytes > kMaxListBytes)
         return;
     const std::lock_guard<std::mutex> lock(mutex_);
     if (bytes > kCapBytes - bytes_)

@@ -97,14 +97,22 @@ class EventListPool
      */
     static constexpr std::size_t kCapBytes = std::size_t{64} << 20;
 
+    /**
+     * Largest single list the pool keeps, in bytes.  A longer list is
+     * a whole-signal one (EmProf::analyze over 64 Mi samples grows a
+     * 64 MiB list); kept, it would fill the pool alone, and every
+     * span list of the next analysis would be dropped.
+     */
+    static constexpr std::size_t kMaxListBytes = kCapBytes / 8;
+
     /** The pool the kernels take from. */
     static EventListPool &shared();
 
     /** An empty list with the capacity of the last one given, if any. */
     std::vector<StallEvent> take();
 
-    /** Keep @p list's capacity, or drop the list when keeping it
-     *  would pass kCapBytes. */
+    /** Keep @p list's capacity, or drop the list when it is over
+     *  kMaxListBytes or keeping it would pass kCapBytes. */
     void give(std::vector<StallEvent> &&list);
 
     /** Capacity held now, in bytes. */

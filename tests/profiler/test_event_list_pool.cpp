@@ -26,8 +26,8 @@
 namespace emprof::profiler {
 namespace {
 
-constexpr std::size_t kCapEvents =
-    EventListPool::kCapBytes / sizeof(StallEvent);
+constexpr std::size_t kMaxListEvents =
+    EventListPool::kMaxListBytes / sizeof(StallEvent);
 
 std::vector<StallEvent>
 listWithCapacity(std::size_t events)
@@ -74,14 +74,12 @@ TEST(EventListPool, TakesTheLastListGivenFirst)
 TEST(EventListPool, ListThatWouldPassTheCapIsDropped)
 {
     EventListPool pool;
-    // Alone over the cap: dropped (reserved, never touched).
-    pool.give(listWithCapacity(kCapEvents + 1));
-    EXPECT_EQ(pool.bytes(), 0u);
-    EXPECT_EQ(pool.take().capacity(), 0u);
-
     // Exactly at the cap: kept; one more list of any size is dropped.
-    pool.give(listWithCapacity(kCapEvents / 2));
-    pool.give(listWithCapacity(kCapEvents / 2));
+    // (The lists are reserved, never touched.)
+    const std::size_t fill =
+        EventListPool::kCapBytes / EventListPool::kMaxListBytes;
+    for (std::size_t i = 0; i < fill; ++i)
+        pool.give(listWithCapacity(kMaxListEvents));
     EXPECT_EQ(pool.bytes(), EventListPool::kCapBytes);
     pool.give(listWithCapacity(1));
     EXPECT_EQ(pool.bytes(), EventListPool::kCapBytes);
@@ -90,6 +88,18 @@ TEST(EventListPool, ListThatWouldPassTheCapIsDropped)
     EventListPool empty;
     empty.give({});
     EXPECT_EQ(empty.bytes(), 0u);
+}
+
+TEST(EventListPool, ListOverTheListBoundIsDroppedEvenWhenThePoolIsEmpty)
+{
+    // A whole-signal list must not take the room of the span lists.
+    EventListPool pool;
+    pool.give(listWithCapacity(kMaxListEvents + 1));
+    EXPECT_EQ(pool.bytes(), 0u);
+    EXPECT_EQ(pool.take().capacity(), 0u);
+
+    pool.give(listWithCapacity(kMaxListEvents));
+    EXPECT_EQ(pool.bytes(), EventListPool::kMaxListBytes);
 }
 
 TEST(EventListPool, FourThreadsTakeAndGiveConcurrently)
